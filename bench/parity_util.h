@@ -40,14 +40,6 @@ using ParitySets = std::map<std::string, std::vector<double>>;
 /// the test MUST use the same value (results are deterministic in it).
 inline constexpr int kFig8bTrials = 200;
 
-inline ThermoSolverOptions paritySolverOptions() {
-  // The parity fixtures run on the multigrid engine — the default
-  // characterization path this harness is meant to lock down.
-  ThermoSolverOptions opt;
-  opt.preconditioner = FeaPreconditionerKind::kMultigrid;
-  return opt;
-}
-
 /// Figure 6/7 primitive: per-via calibrated peak stress [MPa] plus the
 /// stress profile across the array's central via row.
 inline void addStressSets(ParitySets& sets, const std::string& prefix, int n,
@@ -57,7 +49,7 @@ inline void addStressSets(ParitySets& sets, const std::string& prefix, int n,
   spec.pattern = pattern;
   spec.resolutionXy = 0.125 * units::um;
   const BuiltStructure built = buildViaArrayStructure(spec);
-  ThermoSolver solver(built.grid, paritySolverOptions());
+  ThermoSolver solver(built.grid);
   solver.solve();
 
   const auto peaks = perViaPeakStress(solver, built);

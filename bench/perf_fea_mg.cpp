@@ -1,20 +1,13 @@
-// FEA preconditioner shoot-out at the paper's Figure 7 problem sizes:
-// end-to-end stress solves (solver construction + PCG) under the geometric
-// multigrid V-cycle vs the IC(0) baseline, on one thread so the ratio
-// measures algorithmic work, not scheduling. Emits BENCH_fea_mg.json and
-// enforces three gates (nonzero exit on any miss, never on absolute time):
-//
-//   1. speedup: multigrid must beat IC(0) end-to-end by >= 4x at the full
-//      fig7 8x8 size (>= 1x in --smoke, which runs the 4x4 at coarser
-//      resolution so tier-1 stays fast);
-//   2. parity: per-via peak stresses from the two solves agree to a tight
-//      relative tolerance — the speedup may not buy a different answer;
-//   3. warm primitive store: a characterization re-run against a
-//      just-populated store performs ZERO FEA solves and reproduces the
-//      cold run's raw stress bit-for-bit.
+// FEA multigrid solve at the paper's Figure 7 problem sizes: end-to-end
+// stress solves (solver construction + PCG) on one thread, recording the
+// best wall time and the CG iteration count in BENCH_fea_mg.json. The
+// via-peak values themselves are pinned at 1e-9 by paper_parity_test.
+// Exits nonzero (never on absolute time) when the warm primitive store
+// gate misses: a characterization re-run against a just-populated store
+// must perform ZERO FEA solves and reproduce the cold run's raw stress
+// bit-for-bit.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,7 +15,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/cli.h"
 #include "common/logging.h"
@@ -30,7 +22,6 @@
 #include "fea/thermo_solver.h"
 #include "obs/obs.h"
 #include "structures/cudd_builder.h"
-#include "structures/probes.h"
 #include "viaarray/characterize.h"
 #include "viaarray/primitive_store.h"
 
@@ -39,20 +30,14 @@ using namespace viaduct;
 namespace {
 
 struct SolveSample {
-  std::string name;
-  double seconds = 0.0;
+  double seconds = std::numeric_limits<double>::infinity();
   int iterations = 0;
-  std::vector<double> viaPeaks;  // calibrated per-via peak stress [MPa]
 };
 
-SolveSample runSolve(const BuiltStructure& built, FeaPreconditionerKind kind,
-                     int repeats) {
+SolveSample runSolve(const BuiltStructure& built, int repeats) {
   SolveSample sample;
-  sample.name = feaPreconditionerName(kind);
-  sample.seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < repeats; ++r) {
     ThermoSolverOptions opts;
-    opts.preconditioner = kind;
     opts.parallelism.threads = 1;
     const auto start = std::chrono::steady_clock::now();
     ThermoSolver solver(built.grid, opts);
@@ -61,24 +46,8 @@ SolveSample runSolve(const BuiltStructure& built, FeaPreconditionerKind kind,
         std::chrono::steady_clock::now() - start;
     sample.seconds = std::min(sample.seconds, dt.count());
     sample.iterations = cg.iterations;
-    if (r + 1 == repeats) {
-      const auto peaks = perViaPeakStress(solver, built);
-      sample.viaPeaks.reserve(peaks.size());
-      for (const double p : peaks)
-        sample.viaPeaks.push_back(kDefaultStressScale * p / units::MPa);
-    }
   }
   return sample;
-}
-
-double maxRelDiff(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return std::numeric_limits<double>::infinity();
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double scale = std::max({std::abs(a[i]), std::abs(b[i]), 1e-300});
-    worst = std::max(worst, std::abs(a[i] - b[i]) / scale);
-  }
-  return worst;
 }
 
 std::int64_t feaSolveCount() {
@@ -92,43 +61,30 @@ int main(int argc, char** argv) {
   bool smoke = false;
   int repeats = 3;
   std::string out = "BENCH_fea_mg.json";
-  CliFlags flags(
-      "perf_fea_mg: multigrid vs IC(0) FEA solve at fig7 problem sizes");
-  flags.addBool("smoke", &smoke,
-                "small problem, 1 repeat, speedup floor relaxed to 1x");
-  flags.addInt("repeats", &repeats, "repeats per preconditioner (best kept)");
+  CliFlags flags("perf_fea_mg: multigrid FEA solve at fig7 problem sizes");
+  flags.addBool("smoke", &smoke, "small problem, 1 repeat");
+  flags.addInt("repeats", &repeats, "solve repeats (best kept)");
   flags.addString("out", &out, "JSON report path");
   if (!flags.parse(argc, argv)) return 0;
   setLogLevel(LogLevel::kWarn);
   if (smoke) repeats = 1;
 
   // Full mode reproduces the fig7 8x8 plus-pattern array at the paper's
-  // 0.125 um resolution (~1e6 dofs) — the workload the >= 4x acceptance
-  // gate is defined on. Smoke shrinks to a 4x4 at 0.25 um so the same
-  // gates (with a neutral speedup floor) run inside tier-1.
+  // 0.125 um resolution (~1.2e5 dofs). Smoke shrinks to a 4x4 at 0.25 um so
+  // the same record and gates run inside tier-1.
   ViaArrayStructureSpec spec;
   spec.viaArray.n = smoke ? 4 : 8;
   spec.resolutionXy = (smoke ? 0.25 : 0.125) * units::um;
   const BuiltStructure built = buildViaArrayStructure(spec);
-  const double speedupFloor = smoke ? 1.0 : 4.0;
 
   std::cout << "=== perf_fea_mg: " << spec.viaArray.n << "x" << spec.viaArray.n
             << " array @ " << spec.resolutionXy / units::um << " um, "
             << built.grid.nodeCount() * 3 << " dofs"
             << (smoke ? " [smoke]" : "") << " ===\n";
 
-  const SolveSample mg =
-      runSolve(built, FeaPreconditionerKind::kMultigrid, repeats);
-  std::cout << "  mg   " << mg.seconds << " s  (" << mg.iterations
-            << " iters)\n";
-  const SolveSample ic0 = runSolve(built, FeaPreconditionerKind::kIc0, repeats);
-  std::cout << "  ic0  " << ic0.seconds << " s  (" << ic0.iterations
-            << " iters)\n";
-
-  const double speedup = ic0.seconds / mg.seconds;
-  const double parity = maxRelDiff(mg.viaPeaks, ic0.viaPeaks);
-  std::cout << "  end-to-end speedup " << speedup << "x (floor "
-            << speedupFloor << "x), via-peak parity " << parity << "\n";
+  const SolveSample mg = runSolve(built, repeats);
+  std::cout << "  solve " << mg.seconds << " s  (" << mg.iterations
+            << " CG iters)\n";
 
   // --- Warm primitive store: cold characterization populates, warm re-run
   // must do zero FEA solves and return bit-identical raw stress.
@@ -160,32 +116,15 @@ int main(int argc, char** argv) {
      << ",\n  \"array_n\": " << spec.viaArray.n
      << ",\n  \"resolution_um\": " << spec.resolutionXy / units::um
      << ",\n  \"dofs\": " << built.grid.nodeCount() * 3
-     << ",\n  \"repeats\": " << repeats << ",\n  \"solves\": [\n";
-  for (const SolveSample* s : {&mg, &ic0}) {
-    os << "    {\"preconditioner\": \"" << s->name
-       << "\", \"seconds\": " << s->seconds
-       << ", \"iterations\": " << s->iterations << "}"
-       << (s == &mg ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"speedup\": " << speedup
-     << ",\n  \"speedup_floor\": " << speedupFloor
-     << ",\n  \"via_peak_max_rel_diff\": " << parity
+     << ",\n  \"repeats\": " << repeats
+     << ",\n  \"seconds\": " << mg.seconds
+     << ",\n  \"iterations\": " << mg.iterations
      << ",\n  \"warm_store_fea_solves\": " << warmSolves
      << ",\n  \"warm_store_bit_identical\": "
      << (warmBitIdentical ? "true" : "false") << "\n}\n";
   std::cout << "wrote " << out << "\n";
 
   bool ok = true;
-  if (speedup < speedupFloor) {
-    std::cerr << "FAIL: multigrid speedup " << speedup << "x below the "
-              << speedupFloor << "x floor\n";
-    ok = false;
-  }
-  if (!(parity <= 1e-6)) {
-    std::cerr << "FAIL: mg and ic0 via peaks disagree (max rel diff " << parity
-              << ")\n";
-    ok = false;
-  }
   if (warmSolves != 0) {
     std::cerr << "FAIL: warm-store characterization ran " << warmSolves
               << " FEA solves (expected 0)\n";

@@ -1,9 +1,11 @@
 // Parallel-scaling bench: wall-clock speedup and efficiency of the two
 // deterministic parallel hot paths — the level-2 grid Monte Carlo and the
-// FEA assembly+solve — at 1/2/4/N worker threads. Emits a machine-readable
-// JSON report (BENCH_parallel.json) for CI trend tracking, and fails
-// (nonzero exit) if any thread count changes the Monte Carlo samples:
-// determinism across thread counts is part of the contract being measured.
+// FEA multigrid assembly+solve — at 1/2/4/N worker threads. Emits a
+// machine-readable JSON report (BENCH_parallel.json, stamped with the
+// hardware thread count, build type and `--git-sha`) for CI trend
+// tracking, and fails (nonzero exit) if any thread count changes the Monte
+// Carlo samples or the FEA displacement field: determinism across thread
+// counts is part of the contract being measured.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -75,11 +77,14 @@ int main(int argc, char** argv) {
   int stripes = 16;
   int repeats = 3;
   std::string out = "BENCH_parallel.json";
+  std::string gitSha = "unknown";
   CliFlags flags("perf_parallel: scaling of the deterministic parallel paths");
   flags.addInt("trials", &trials, "grid Monte Carlo trials per measurement");
   flags.addInt("stripes", &stripes, "power-grid stripes per direction");
   flags.addInt("repeats", &repeats, "repeats per point (best time kept)");
   flags.addString("out", &out, "JSON report path");
+  flags.addString("git-sha", &gitSha,
+                  "source revision to stamp into the report");
   if (!flags.parse(argc, argv)) return 0;
   setLogLevel(LogLevel::kWarn);
 
@@ -123,31 +128,16 @@ int main(int argc, char** argv) {
   }
   fillDerived(mc);
 
-  // --- Workload 2: FEA assembly + PCG solve of a 4x4 via array ---
-  ViaArrayStructureSpec feaSpec;
-  feaSpec.resolutionXy = 0.125e-6;
-  const BuiltStructure built = buildViaArrayStructure(feaSpec);
-
-  std::vector<Sample> fea;
-  for (const int t : counts) {
-    const double secs = bestSeconds(repeats, [&] {
-      ThermoSolverOptions opts;
-      opts.parallelism.threads = t;
-      ThermoSolver solver(built.grid, opts);
-      const CgResult res = solver.solve();
-      VIADUCT_CHECK_MSG(res.converged, "FEA solve did not converge");
-    });
-    fea.push_back({.threads = t, .seconds = secs});
-    std::cout << "  fea      threads=" << t << "  " << secs << " s\n";
-  }
-  fillDerived(fea);
-
-  // --- Workload 3: FEA multigrid path on the same via array. This routes
+  // --- Workload 2: FEA multigrid path on a 4x4 via array. This routes
   // every CG matvec through the 27-point node-stencil operator and every
   // preconditioner application through the Chebyshev smoother, so it times
   // the stencil build + halo gather + stencil sweep + smoother recurrence
   // at each pool size. The displacement field must be bit-identical across
   // thread counts (fixed chunk layout + fixed-order per-node sums).
+  ViaArrayStructureSpec feaSpec;
+  feaSpec.resolutionXy = 0.125e-6;
+  const BuiltStructure built = buildViaArrayStructure(feaSpec);
+
   std::vector<Sample> feaMg;
   std::vector<double> mgReference;
   bool feaMgIdentical = true;
@@ -156,7 +146,6 @@ int main(int argc, char** argv) {
     const double secs = bestSeconds(repeats, [&] {
       ThermoSolverOptions opts;
       opts.parallelism.threads = t;
-      opts.preconditioner = FeaPreconditionerKind::kMultigrid;
       ThermoSolver solver(built.grid, opts);
       const CgResult res = solver.solve();
       VIADUCT_CHECK_MSG(res.converged, "FEA multigrid solve did not converge");
@@ -208,12 +197,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   os << "{\n  \"hardware_concurrency\": " << ThreadPool::hardwareConcurrency()
+     << ",\n  \"build_type\": \"" << VIADUCT_BUILD_TYPE << "\""
+     << ",\n  \"git_sha\": \"" << gitSha << "\""
      << ",\n  \"mc_trials\": " << trials
      << ",\n  \"deterministic_across_thread_counts\": "
      << (deterministic ? "true" : "false") << ",\n";
   writeJsonSeries(os, "grid_mc", mc);
-  os << ",\n";
-  writeJsonSeries(os, "fea", fea);
   os << ",\n  \"fea_mg_bit_identical\": " << (feaMgIdentical ? "true" : "false")
      << ",\n";
   writeJsonSeries(os, "fea_mg", feaMg);

@@ -209,8 +209,8 @@ void applyBlockInverse(const VoxelStressMultigrid::Level& lvl,
 }
 
 /// Assembles, inverts and stores the nodal 3×3 diagonal blocks of a level
-/// (constrained rows/cols replaced by identity before inversion) — the same
-/// construction as the fine solver's block-Jacobi preconditioner.
+/// (constrained rows/cols replaced by identity before inversion) — the
+/// block-Jacobi scaling the Chebyshev smoother works in.
 void buildLevelBlocks(VoxelStressMultigrid::Level& lvl, ThreadPool* pool) {
   const VoxelGrid& g = lvl.grid;
   const Index nodesPerRow = g.nx() + 1;

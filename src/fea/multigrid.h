@@ -1,10 +1,11 @@
 // Geometric multigrid preconditioner for the voxel thermoelasticity solve.
 //
-// The FEA system is the pipeline's wall-clock wall: a fig7-sized solve is
-// seconds of block-Jacobi-preconditioned CG whose iteration count grows
-// with the mesh. This V-cycle exploits what the matrix-free operator
-// already knows — the mesh is a structured voxel grid — to precondition CG
-// with a mesh-independent hierarchy:
+// The FEA system is the pipeline's wall-clock wall: under a one-level
+// preconditioner such as block-Jacobi, CG's iteration count grows with the
+// mesh. This V-cycle, the thermo-stress solver's only preconditioner,
+// exploits what the matrix-free operator already knows — the mesh is a
+// structured voxel grid — to precondition CG with a mesh-independent
+// hierarchy:
 //
 //   - 2× cell coarsening per axis (odd trailing cells merge into the last
 //     coarse cell), so every level is again a VoxelGrid;
@@ -101,8 +102,8 @@ class VoxelStressMultigrid final : public Preconditioner {
   /// coarsest one.
   int levelCount() const { return static_cast<int>(levels_.size()); }
 
-  /// The level-0 stencil-compressed stiffness. In multigrid mode the solver
-  /// also uses this as CG's operator, so the whole solve — matvec and
+  /// The level-0 stencil-compressed stiffness. The solver also uses this
+  /// as CG's operator, so the whole solve — matvec and
   /// preconditioner — runs on the compressed engine instead of re-gathering
   /// element blocks every apply.
   const NodeStencilOperator& fineOperator() const;

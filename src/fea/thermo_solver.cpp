@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "fea/stiffness_csr.h"
-#include "numerics/dense.h"
-#include "numerics/preconditioner.h"
 #include "obs/obs.h"
 
 namespace viaduct {
@@ -111,26 +107,6 @@ class VoxelElasticityOperator final : public LinearOperator {
   const ThermoSolver& s_;
 };
 
-const char* feaPreconditionerName(FeaPreconditionerKind kind) {
-  switch (kind) {
-    case FeaPreconditionerKind::kBlockJacobi:
-      return "bj";
-    case FeaPreconditionerKind::kIc0:
-      return "ic0";
-    case FeaPreconditionerKind::kMultigrid:
-      return "mg";
-  }
-  return "bj";
-}
-
-std::optional<FeaPreconditionerKind> parseFeaPreconditionerName(
-    std::string_view name) {
-  if (name == "bj") return FeaPreconditionerKind::kBlockJacobi;
-  if (name == "ic0") return FeaPreconditionerKind::kIc0;
-  if (name == "mg") return FeaPreconditionerKind::kMultigrid;
-  return std::nullopt;
-}
-
 ThermoSolver::ThermoSolver(const VoxelGrid& grid,
                            const ThermoSolverOptions& options)
     : grid_(grid), options_(options) {
@@ -141,7 +117,6 @@ ThermoSolver::ThermoSolver(const VoxelGrid& grid,
     pool_ = ownedPool_.get();
   }
   deltaT_ = options_.operatingTemperatureC - options_.annealTemperatureC;
-  activeKind_ = options_.preconditioner;
   setupConstraints();
   buildOperators();
 }
@@ -221,13 +196,11 @@ std::vector<double> ThermoSolver::assembleThermalLoad() const {
 
 namespace {
 
-/// Nodal 3×3 block-Jacobi: one inverted diagonal block per node,
-/// constrained dofs as identity (inverses built in ensurePreconditioner).
 /// CG-facing adapter for the stencil-compressed stiffness that the
-/// multigrid hierarchy builds for its fine level: in multigrid mode the
-/// solver routes CG's matvec through it too, so the whole solve runs on the
-/// compressed engine (same Dirichlet semantics, ulp-level differences in
-/// summation order only).
+/// multigrid hierarchy builds for its fine level: CG's matvec runs on it,
+/// so the whole solve — matvec and preconditioner — uses the compressed
+/// engine (same Dirichlet semantics as the element gather, ulp-level
+/// differences in summation order only).
 class StencilElasticityOperator final : public LinearOperator {
  public:
   explicit StencilElasticityOperator(const NodeStencilOperator& op)
@@ -243,113 +216,29 @@ class StencilElasticityOperator final : public LinearOperator {
   const NodeStencilOperator& op_;
 };
 
-
-class NodalBlockPreconditioner final : public Preconditioner {
- public:
-  NodalBlockPreconditioner(std::vector<double> inverses, ThreadPool* pool)
-      : inv_(std::move(inverses)), pool_(pool) {}
-  void apply(std::span<const double> r, std::span<double> z) const override {
-    VIADUCT_SPAN("fea.precond_apply");
-    const auto nodes = static_cast<std::int64_t>(inv_.size() / 9);
-    parallelFor(pool_, 0, nodes, kNodeGrain, [&](std::int64_t n) {
-      const double* m = &inv_[static_cast<std::size_t>(n) * 9];
-      const double* rn = &r[static_cast<std::size_t>(n) * 3];
-      double* zn = &z[static_cast<std::size_t>(n) * 3];
-      for (int p = 0; p < 3; ++p)
-        zn[p] = m[p * 3] * rn[0] + m[p * 3 + 1] * rn[1] + m[p * 3 + 2] * rn[2];
-    });
-  }
-  const char* name() const override { return "nodal-block-jacobi"; }
-
- private:
-  std::vector<double> inv_;
-  ThreadPool* pool_ = nullptr;
-};
-
 }  // namespace
 
-const Preconditioner& ThermoSolver::ensurePreconditioner() const {
-  if (precond_) return *precond_;
-  VIADUCT_SPAN("fea.precond_setup");
-  switch (activeKind_) {
-    case FeaPreconditionerKind::kBlockJacobi: {
-      // Element diagonal blocks gathered per node (partitioned across the
-      // pool), constrained dofs replaced by identity, then inverted.
-      const Index nodes = grid_.nodeCount();
-      const Index nodesPerRow = grid_.nx() + 1;
-      const Index nodesPerSlab = nodesPerRow * (grid_.ny() + 1);
-      std::vector<double> inverses(static_cast<std::size_t>(nodes) * 9, 0.0);
-      std::vector<double> blocks(static_cast<std::size_t>(nodes) * 9, 0.0);
-      parallelFor(pool_, 0, nodes, kNodeGrain, [&](std::int64_t ni) {
-        const Index node = static_cast<Index>(ni);
-        const Index K = node / nodesPerSlab;
-        const Index rem = node % nodesPerSlab;
-        const Index J = rem / nodesPerRow;
-        const Index I = rem % nodesPerRow;
-        double* blk = &blocks[static_cast<std::size_t>(node) * 9];
-        forEachAdjacentCell(grid_, I, J, K,
-                            [&](Index cell, int n, Index, Index, Index) {
-                              const Hex8Operators& ops =
-                                  *cellOps_[static_cast<std::size_t>(cell)];
-                              for (int p = 0; p < 3; ++p)
-                                for (int q = 0; q < 3; ++q)
-                                  blk[p * 3 + q] +=
-                                      ops.stiffness[(3 * n + p) * kHexDofs +
-                                                    (3 * n + q)];
-                            });
-      });
-      parallelFor(pool_, 0, nodes, kNodeGrain, [&](std::int64_t ni) {
-        const Index n = static_cast<Index>(ni);
-        double* blk = &blocks[static_cast<std::size_t>(n) * 9];
-        for (int d = 0; d < 3; ++d) {
-          if (!constrained_[n * 3 + d]) continue;
-          for (int q = 0; q < 3; ++q) {
-            blk[d * 3 + q] = 0.0;
-            blk[q * 3 + d] = 0.0;
-          }
-          blk[d * 3 + d] = 1.0;
-        }
-        DenseMatrix m(3, 3);
-        for (int p = 0; p < 3; ++p)
-          for (int q = 0; q < 3; ++q) m(p, q) = blk[p * 3 + q];
-        DenseMatrix rhs = DenseMatrix::identity(3);
-        const DenseMatrix inv = m.solveMultiple(rhs);
-        double* out = &inverses[static_cast<std::size_t>(n) * 9];
-        for (int p = 0; p < 3; ++p)
-          for (int q = 0; q < 3; ++q) out[p * 3 + q] = inv(p, q);
-      });
-      precond_ =
-          std::make_unique<NodalBlockPreconditioner>(std::move(inverses),
-                                                     pool_);
-      break;
-    }
-    case FeaPreconditionerKind::kIc0: {
-      const CsrMatrix k = assembleCsrStiffness();
-      precond_ = std::make_unique<IncompleteCholeskyPreconditioner>(k);
-      break;
-    }
-    case FeaPreconditionerKind::kMultigrid: {
-      precond_ = std::make_unique<VoxelStressMultigrid>(
-          grid_, constrained_, cellOps_, options_.multigrid, pool_);
-      break;
-    }
+const VoxelStressMultigrid& ThermoSolver::ensurePreconditioner() const {
+  if (!precond_) {
+    VIADUCT_SPAN("fea.precond_setup");
+    precond_ = std::make_unique<VoxelStressMultigrid>(
+        grid_, constrained_, cellOps_, options_.multigrid, pool_);
   }
   return *precond_;
 }
 
-CsrMatrix ThermoSolver::assembleCsrStiffness() const {
-  // The shared assembler takes a byte mask (vector<bool> has no spans).
-  std::vector<std::uint8_t> mask(constrained_.size());
-  for (std::size_t i = 0; i < constrained_.size(); ++i)
-    mask[i] = constrained_[i] ? 1 : 0;
-  return assembleVoxelStiffnessCsr(grid_, mask, cellOps_, pool_);
+CgResult ThermoSolver::runCg(std::span<const double> rhs, std::span<double> x,
+                             const CgOptions& cgOpts) const {
+  VIADUCT_SPAN("fea.cg_solve");
+  const VoxelStressMultigrid& precond = ensurePreconditioner();
+  const StencilElasticityOperator op(precond.fineOperator());
+  return conjugateGradient(op, rhs, x, precond, cgOpts);
 }
 
 CgResult ThermoSolver::solve() {
   if (solved_) return lastCg_;
   VIADUCT_SPAN("fea.solve");
   VIADUCT_COUNTER_ADD("fea.solves", 1);
-  const VoxelElasticityOperator op(*this);
   const std::vector<double> f = assembleThermalLoad();
 
   displacements_.assign(f.size(), 0.0);
@@ -364,39 +253,24 @@ CgResult ThermoSolver::solve() {
   cgOpts.throwOnStall = false;
   const fault::FailurePolicy& policy = options_.policy;
   const int attempts = policy.enabled ? 1 + std::max(0, policy.cgRetries) : 1;
+  retries_ = 0;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       VIADUCT_COUNTER_ADD("fault.policy.fea_retries", 1);
+      ++retries_;
       cgOpts.relativeTolerance *= policy.retryToleranceTighten;
       cgOpts.maxIterations = static_cast<int>(
           static_cast<double>(cgOpts.maxIterations) *
           policy.retryIterationGrowth);
       std::fill(displacements_.begin(), displacements_.end(), 0.0);
-      if (activeKind_ == FeaPreconditionerKind::kMultigrid) {
-        // Degradation ladder: a failed multigrid solve retries on IC(0)
-        // before the tightened-tolerance rungs continue — a broken
-        // hierarchy (e.g. an injected NaN) must not poison every retry.
-        VIADUCT_COUNTER_ADD("fault.policy.fea_precond_fallbacks", 1);
-        VIADUCT_WARN << "FEA multigrid solve failed; degrading to IC(0) "
-                        "for the retry";
-        activeKind_ = FeaPreconditionerKind::kIc0;
-        precond_.reset();
-      }
+      // A broken hierarchy (e.g. an injected NaN) must not poison every
+      // retry, so each rung rebuilds it.
+      VIADUCT_WARN << "FEA solve attempt " << attempt
+                   << " failed; retrying with a rebuilt multigrid hierarchy";
+      precond_.reset();
     }
     try {
-      VIADUCT_SPAN("fea.cg_solve");
-      const Preconditioner& precond = ensurePreconditioner();
-      // Multigrid mode runs CG's matvec on the hierarchy's fine-level
-      // stencil operator; the ladder's IC(0) rung falls back to the
-      // matrix-free gather together with the preconditioner swap.
-      std::optional<StencilElasticityOperator> stencilOp;
-      if (activeKind_ == FeaPreconditionerKind::kMultigrid)
-        stencilOp.emplace(
-            static_cast<const VoxelStressMultigrid&>(precond).fineOperator());
-      const LinearOperator& cgOp =
-          stencilOp ? static_cast<const LinearOperator&>(*stencilOp)
-                    : static_cast<const LinearOperator&>(op);
-      lastCg_ = conjugateGradient(cgOp, f, displacements_, precond, cgOpts);
+      lastCg_ = runCg(f, displacements_, cgOpts);
     } catch (const NumericalError&) {
       lastCg_ = CgResult{};
       if (!policy.enabled) throw;
@@ -426,22 +300,12 @@ CgResult ThermoSolver::solveSystem(std::span<const double> rhs,
   VIADUCT_REQUIRE(rhs.size() ==
                       static_cast<std::size_t>(grid_.nodeCount()) * 3 &&
                   x.size() == rhs.size());
-  const VoxelElasticityOperator op(*this);
   CgOptions cgOpts;
   cgOpts.relativeTolerance = options_.cgRelativeTolerance;
   cgOpts.maxIterations = options_.cgMaxIterations;
   cgOpts.pool = pool_;
   cgOpts.throwOnStall = false;
-  VIADUCT_SPAN("fea.cg_solve");
-  const Preconditioner& precond = ensurePreconditioner();
-  std::optional<StencilElasticityOperator> stencilOp;
-  if (activeKind_ == FeaPreconditionerKind::kMultigrid)
-    stencilOp.emplace(
-        static_cast<const VoxelStressMultigrid&>(precond).fineOperator());
-  const LinearOperator& cgOp =
-      stencilOp ? static_cast<const LinearOperator&>(*stencilOp)
-                : static_cast<const LinearOperator&>(op);
-  return conjugateGradient(cgOp, rhs, x, precond, cgOpts);
+  return runCg(rhs, x, cgOpts);
 }
 
 void ThermoSolver::applyStiffness(std::span<const double> x,

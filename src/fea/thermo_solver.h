@@ -10,15 +10,17 @@
 // of the die beyond the simulated window; the top surface is free. Pattern
 // (Plus/T/L) differences enter through the painted geometry, not the BCs.
 //
-// The solve is matrix-free: on a voxel mesh all elements sharing a
-// (material, cell-size) pair have identical 24×24 stiffness matrices, so
-// the operator stores one matrix per distinct pair and applies them in a
-// gather–scatter sweep.
+// On a voxel mesh all elements sharing a (material, cell-size) pair have
+// identical 24×24 stiffness matrices, so the solver stores one matrix per
+// distinct pair. Every stress field is computed by one solver (DESIGN.md
+// §5.12): CG on the stencil-compressed stiffness (fea/stencil_operator.h),
+// preconditioned by the geometric multigrid V-cycle of fea/multigrid.h.
+// The matrix-free element gather behind applyStiffness() is an independent
+// reference operator that tests build right-hand sides and oracles with.
 //
-// Preconditioning is selectable (DESIGN.md §5.12): nodal 3×3 block-Jacobi
-// (the seed default), IC(0) on the assembled stiffness, or the geometric
-// multigrid V-cycle from fea/multigrid.h. Under an enabled FailurePolicy a
-// failed multigrid solve degrades to IC(0) on retry before the
+// Under an enabled FailurePolicy a stalled or NaN-poisoned solve is retried
+// from a zero guess with a tightened tolerance, a grown iteration cap and a
+// freshly built hierarchy; when the retries are exhausted the
 // non-convergence escalates to the caller as a NumericalError.
 #pragma once
 
@@ -26,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -38,22 +39,8 @@
 
 namespace viaduct {
 
-/// CG preconditioner for the thermoelastic solve. kBlockJacobi reproduces
-/// the seed solver bit-for-bit; kMultigrid is the fast path for production
-/// meshes; kIc0 is the robust middle rung the failure ladder degrades to.
-enum class FeaPreconditionerKind {
-  kBlockJacobi = 0,
-  kIc0 = 1,
-  kMultigrid = 2,
-};
-
-/// Short stable names used by the CLI flag and cache-key tags:
-/// "bj", "ic0", "mg".
-const char* feaPreconditionerName(FeaPreconditionerKind kind);
-
-/// Inverse of feaPreconditionerName; nullopt for unknown names.
-std::optional<FeaPreconditionerKind> parseFeaPreconditionerName(
-    std::string_view name);
+/// Kept, with its inert options field, only because perfbench assigns it.
+enum class FeaPreconditionerKind { kMultigrid };
 
 struct ThermoSolverOptions {
   /// Anneal (stress-free reference) and operating temperatures [°C].
@@ -63,17 +50,17 @@ struct ThermoSolverOptions {
   double cgRelativeTolerance = 1e-7;
   int cgMaxIterations = 20000;
 
-  /// CG preconditioner; kBlockJacobi preserves the seed solver exactly.
-  FeaPreconditionerKind preconditioner = FeaPreconditionerKind::kBlockJacobi;
+  /// Inert: nothing reads it (see FeaPreconditionerKind).
+  FeaPreconditionerKind preconditioner = FeaPreconditionerKind::kMultigrid;
 
-  /// Hierarchy settings for kMultigrid (ignored otherwise).
+  /// Settings of the multigrid hierarchy that preconditions CG.
   MultigridOptions multigrid;
 
   /// Failure policy for the CG solve: a stalled or NaN-poisoned solve is
-  /// retried `cgRetries` times from a zero guess with a tightened tolerance
-  /// and a grown iteration cap (a multigrid solve additionally degrades to
-  /// IC(0) on its first retry) before the non-convergence is thrown to the
-  /// caller as a NumericalError.
+  /// retried `cgRetries` times from a zero guess with a tightened
+  /// tolerance, a grown iteration cap and a rebuilt multigrid hierarchy
+  /// before the non-convergence is thrown to the caller as a
+  /// NumericalError.
   fault::FailurePolicy policy;
 
   /// Worker pool shared with the caller (borrowed, not owned). When null
@@ -98,23 +85,26 @@ class ThermoSolver {
   /// silently.
   CgResult solve();
 
-  /// Solves K x = rhs with the configured preconditioner: one plain CG
+  /// Solves K x = rhs with the solver's multigrid-preconditioned CG: one
   /// solve, no retry ladder, solver state untouched. `rhs` must vanish on
   /// constrained dofs (use constrainedMask()); `x` is the initial guess and
   /// the result. This is the harness for convergence studies (the MMS test,
   /// perf_fea_mg) that need the linear solver without the thermal load.
   CgResult solveSystem(std::span<const double> rhs, std::span<double> x) const;
 
-  /// y = K x (the matrix-free stiffness with constrained identity rows) —
-  /// lets tests manufacture consistent right-hand sides.
+  /// y = K x through the matrix-free element gather (constrained dofs as
+  /// identity rows). It shares no code with the stencil operator the solve
+  /// runs on, which lets tests manufacture consistent right-hand sides and
+  /// build independent reference solves.
   void applyStiffness(std::span<const double> x, std::span<double> y) const;
 
   /// Per-dof Dirichlet mask (3 dof per node, x/y/z interleaved).
   const std::vector<bool>& constrainedMask() const { return constrained_; }
 
-  /// The preconditioner in effect: the configured kind, or the ladder's
-  /// degraded kind after a multigrid solve failed and retried on IC(0).
-  FeaPreconditionerKind activePreconditioner() const { return activeKind_; }
+  /// Retries the failure ladder spent in the last solve(); 0 when the
+  /// first attempt converged. A retried solve ran under a tightened
+  /// tolerance, so its field differs from a clean solve's.
+  int retryCount() const { return retries_; }
 
   /// Convergence data of the last (only) CG solve — iterations, achieved
   /// relative residual, converged flag. Zero-initialized before solve().
@@ -159,13 +149,13 @@ class ThermoSolver {
   void buildOperators();
   std::vector<double> assembleThermalLoad() const;
 
-  /// Builds (once) and returns the preconditioner for `activeKind_`.
-  const Preconditioner& ensurePreconditioner() const;
+  /// Builds (once) and returns the multigrid hierarchy.
+  const VoxelStressMultigrid& ensurePreconditioner() const;
 
-  /// Assembles the global CSR stiffness (constrained dofs as identity
-  /// rows/columns) for the IC(0) path — node-gathered, rows emitted in
-  /// sorted order.
-  CsrMatrix assembleCsrStiffness() const;
+  /// One multigrid-preconditioned CG solve on the hierarchy's fine-level
+  /// stencil operator; `x` is the initial guess and the result.
+  CgResult runCg(std::span<const double> rhs, std::span<double> x,
+                 const CgOptions& cgOpts) const;
 
   const Hex8Operators& cellOperators(Index i, Index j, Index k) const;
   void gatherElement(std::span<const double> u, Index i, Index j, Index k,
@@ -186,13 +176,12 @@ class ThermoSolver {
   std::vector<bool> constrained_;  // per dof
   std::vector<double> displacements_;
   CgResult lastCg_;
+  int retries_ = 0;
   bool solved_ = false;
 
-  /// Lazily built preconditioner; rebuilt when the failure ladder swaps
-  /// kinds. Mutable because solveSystem() is logically const.
-  mutable std::unique_ptr<Preconditioner> precond_;
-  mutable FeaPreconditionerKind activeKind_ =
-      FeaPreconditionerKind::kBlockJacobi;
+  /// Lazily built hierarchy; rebuilt by each retry of the failure ladder.
+  /// Mutable because solveSystem() is logically const.
+  mutable std::unique_ptr<VoxelStressMultigrid> precond_;
 };
 
 }  // namespace viaduct

@@ -378,7 +378,7 @@ GridMcResult runGridMonteCarlo(const PowerGridModel& model,
       if (wireMortal[i] > 0) ++result.wireMortalTrials;
     }
     VIADUCT_HISTOGRAM_OBSERVE("grid_mc.failures_per_trial", failures[i],
-                              obs::Buckets::linear(0, 2, 16));
+                              obs::Buckets::exponential(1, 2, 16));
   }
   if (result.discardedTrials > 0) {
     VIADUCT_COUNTER_ADD("grid_mc.trials_discarded", result.discardedTrials);

@@ -12,13 +12,18 @@ namespace viaduct::obs {
 
 namespace {
 
-/// Shortest round-trip double formatting that is also valid OpenMetrics /
-/// JSON (no "inf"/"nan" leaks into JSON callers: histograms only format
-/// finite numbers, and OpenMetrics spells infinity "+Inf" explicitly).
+/// Shortest round-trip double formatting of a finite value, valid in both
+/// OpenMetrics and JSON.
 std::string num(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
+}
+
+/// JSON number: non-finite values (an overflow-bucket quantile, a NaN
+/// gauge) have no JSON spelling and are written as null.
+std::string jsonNum(double v) {
+  return std::isfinite(v) ? num(v) : std::string("null");
 }
 
 /// OpenMetrics float: like num() but with the exposition-format spellings
@@ -130,8 +135,7 @@ std::string sampleJsonLine(const RegistrySnapshot& snap, std::uint64_t seq,
     if (!first) out += ',';
     first = false;
     appendJsonString(out, name);
-    out += ':';
-    out += std::isfinite(value) ? num(value) : std::string("null");
+    out += ':' + jsonNum(value);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -141,9 +145,9 @@ std::string sampleJsonLine(const RegistrySnapshot& snap, std::uint64_t seq,
     appendJsonString(out, name);
     out += ":{\"count\":" + std::to_string(h.count);
     out += ",\"sum\":" + num(h.sum);
-    out += ",\"p50\":" + num(histogramQuantile(h, 0.50));
-    out += ",\"p90\":" + num(histogramQuantile(h, 0.90));
-    out += ",\"p99\":" + num(histogramQuantile(h, 0.99));
+    out += ",\"p50\":" + jsonNum(histogramQuantile(h, 0.50));
+    out += ",\"p90\":" + jsonNum(histogramQuantile(h, 0.90));
+    out += ",\"p99\":" + jsonNum(histogramQuantile(h, 0.99));
     out += ",\"counts\":[";
     for (std::size_t b = 0; b < h.counts.size(); ++b) {
       if (b) out += ',';

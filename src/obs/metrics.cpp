@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <sstream>
 
@@ -179,7 +181,7 @@ double histogramQuantile(const HistogramSnapshot& h, double q) {
   for (std::size_t b = 0; b < h.counts.size(); ++b) {
     cumulative += h.counts[b];
     if (static_cast<double>(cumulative) < rank) continue;
-    if (b >= h.bounds.size()) break;  // +inf bucket: clamp below
+    if (b >= h.bounds.size()) break;  // +inf bucket: see below
     const double hi = h.bounds[b];
     const double lo = b == 0 ? std::min(0.0, hi) : h.bounds[b - 1];
     const auto inBucket = static_cast<double>(h.counts[b]);
@@ -187,7 +189,9 @@ double histogramQuantile(const HistogramSnapshot& h, double q) {
     const double below = static_cast<double>(cumulative) - inBucket;
     return lo + (hi - lo) * std::min(1.0, (rank - below) / inBucket);
   }
-  return h.bounds.back();
+  // The rank lies in the overflow bucket: all that is known is that the
+  // quantile exceeds the last finite bound, so no finite value is honest.
+  return std::numeric_limits<double>::infinity();
 }
 
 RegistrySnapshot Registry::snapshot() const {
@@ -220,6 +224,15 @@ void appendJsonString(std::ostream& os, std::string_view s) {
     os << c;
   }
   os << '"';
+}
+
+/// JSON has no infinity: an unknown (overflow-bucket) quantile is null.
+void appendJsonNumber(std::ostream& os, double v) {
+  if (std::isfinite(v)) {
+    os << v;
+  } else {
+    os << "null";
+  }
 }
 }  // namespace
 
@@ -258,9 +271,13 @@ std::string Registry::snapshotJson() const {
     for (std::size_t i = 0; i < h.counts.size(); ++i)
       os << (i ? ", " : "") << h.counts[i];
     os << "], \"count\": " << h.count << ", \"sum\": " << h.sum
-       << ", \"p50\": " << histogramQuantile(h, 0.50)
-       << ", \"p90\": " << histogramQuantile(h, 0.90)
-       << ", \"p99\": " << histogramQuantile(h, 0.99) << "}";
+       << ", \"p50\": ";
+    appendJsonNumber(os, histogramQuantile(h, 0.50));
+    os << ", \"p90\": ";
+    appendJsonNumber(os, histogramQuantile(h, 0.90));
+    os << ", \"p99\": ";
+    appendJsonNumber(os, histogramQuantile(h, 0.99));
+    os << "}";
   }
   os << "\n},\n\"spans\": {";
   first = true;

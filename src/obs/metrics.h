@@ -199,8 +199,9 @@ struct RegistrySnapshot {
 
 /// Prometheus-style quantile estimate from bucketed counts: finds the
 /// bucket containing rank q*count and interpolates linearly inside it
-/// (from 0 for the first bucket). Ranks landing in the +inf bucket clamp
-/// to the last finite bound. Returns 0 for an empty histogram.
+/// (from 0 for the first bucket). A rank landing in the +inf bucket
+/// returns +infinity: the quantile is only known to exceed the last finite
+/// bound. Returns 0 for an empty histogram.
 double histogramQuantile(const HistogramSnapshot& h, double q);
 
 /// Process-wide instrument registry. Registration (the first call for a

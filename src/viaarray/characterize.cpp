@@ -114,11 +114,12 @@ std::string ViaArrayCharacterizationSpec::cacheKey() const {
      << ";solve=" << (network.exactResolve ? "exact" : "inc1");
   if (!network.exactResolve)
     os << ";rtol=" << network.refreshResidualTolerance;
-  // FEA preconditioner: like solve=, distinct preconditioners converge to
-  // ulp-level different stress fields, so entries key separately.
-  // (`primitiveStore` is excluded for the same reason `parallelism` is: a
-  // warm primitive hit is bit-identical to the computed result.)
-  os << ";fea=" << feaPreconditionerName(feaPreconditioner);
+  // FEA solver tag. The multigrid solve is the only one, so the tag is a
+  // literal; it keeps keys byte-identical to entries persisted when the
+  // solver was still selectable. (`primitiveStore` is excluded for the
+  // same reason `parallelism` is: a warm primitive hit is bit-identical to
+  // the computed result.)
+  os << ";fea=mg";
   return os.str();
 }
 
@@ -129,7 +130,7 @@ std::string ViaArrayCharacterizationSpec::primitiveKey() const {
      << ";sp=" << array.minSpacing << ";pat=" << patternName(pattern)
      << ";w=" << wireWidth << ";m=" << margin << ";res=" << resolutionXy
      << ";stk=" << stack.metalLower << "," << stack.via << ","
-     << stack.metalUpper << ";fea=" << feaPreconditionerName(feaPreconditioner);
+     << stack.metalUpper << ";fea=mg";  // literal: see cacheKey()
   // The characterizer runs the solver at ThermoSolverOptions defaults; the
   // temperatures and CG tolerance are keyed by VALUE so a future change of
   // those defaults orphans old primitives instead of silently reusing them.
@@ -204,7 +205,6 @@ ViaArrayCharacterizer::ViaArrayCharacterizer(
     ThermoSolverOptions feaOpts;
     feaOpts.pool = &pool;
     feaOpts.policy = spec_.policy;
-    feaOpts.preconditioner = spec_.feaPreconditioner;
     ThermoSolver solver(built_.grid, feaOpts);
     VIADUCT_COUNTER_ADD("viaarray.fea_solves", 1);
     const CgResult res = solver.solve();
@@ -214,11 +214,10 @@ ViaArrayCharacterizer::ViaArrayCharacterizer(
     }
     feaIterations = res.iterations;
     rawSigmaT_ = perViaPeakStress(solver, built_);
-    // Persist only results computed under the keyed preconditioner: the
-    // policy ladder may have degraded mg -> ic0 mid-solve, and that result
-    // must not be rehydrated under the mg key.
-    if (spec_.primitiveStore &&
-        solver.activePreconditioner() == spec_.feaPreconditioner) {
+    // Persist only a first-attempt solve: a policy retry converges under a
+    // tightened tolerance to a field that differs from a clean cold solve,
+    // and rehydrating it would break warm == cold bit-identity.
+    if (spec_.primitiveStore && solver.retryCount() == 0) {
       spec_.primitiveStore->save(pkey, rawSigmaT_);
     }
   }

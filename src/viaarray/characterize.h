@@ -89,14 +89,6 @@ struct ViaArrayCharacterizationSpec {
   double stressScale = kDefaultStressScale;
   double stressOffsetPa = kDefaultStressOffsetPa;
 
-  /// Preconditioner for the FEA stress solve. Multigrid is the default —
-  /// it solves fig7-sized grids several times faster than IC(0)-CG
-  /// (DESIGN.md §5.12) — with "ic0" and the seed's "bj" selectable for A/B
-  /// verification. Distinct preconditioners converge to ulp-level
-  /// *different* stress fields at the same tolerance, so this IS part of
-  /// cacheKey() and primitiveKey(), like the level-1 `solve=` tag.
-  FeaPreconditionerKind feaPreconditioner = FeaPreconditionerKind::kMultigrid;
-
   /// Optional on-disk store of FEA stress primitives, consulted before
   /// running the solve (viaarray/primitive_store.h): a warm store
   /// characterizes with ZERO FEA solves, bit-identically to a cold run.
@@ -135,7 +127,7 @@ struct ViaArrayCharacterizationSpec {
 
   /// Stable key over exactly the fields the FEA stress primitive depends
   /// on: geometry, stack, mesh resolution, and the solver settings
-  /// (preconditioner, temperatures, CG tolerance). Same p17 double
+  /// (solver tag, temperatures, CG tolerance). Same p17 double
   /// discipline as cacheKey(). Changing the EM model, trial count, or seed
   /// leaves this key — and the cached primitive — untouched.
   std::string primitiveKey() const;

@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -93,12 +95,20 @@ TEST_F(ObsExportTest, HistogramQuantileInterpolatesWithinBucket) {
   EXPECT_DOUBLE_EQ(obs::histogramQuantile(h, 1.0), 20.0);
 }
 
-TEST_F(ObsExportTest, HistogramQuantileClampsInfiniteBucketToLastBound) {
+TEST_F(ObsExportTest, HistogramQuantileInOverflowBucketIsInfinite) {
   obs::HistogramSnapshot h;
   h.bounds = {1.0, 2.0};
   h.counts = {0, 0, 5};  // everything beyond the last finite bound
   h.count = 5;
-  EXPECT_DOUBLE_EQ(obs::histogramQuantile(h, 0.99), 2.0);
+  // The quantile is only known to exceed 2: reporting 2 would be a lie.
+  EXPECT_EQ(obs::histogramQuantile(h, 0.50),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(obs::histogramQuantile(h, 0.99),
+            std::numeric_limits<double>::infinity());
+  // A rank below the overflow bucket still interpolates.
+  h.counts = {0, 5, 5};
+  h.count = 10;
+  EXPECT_DOUBLE_EQ(obs::histogramQuantile(h, 0.5), 2.0);
 }
 
 TEST_F(ObsExportTest, HistogramQuantileEmptyIsZero) {
@@ -210,6 +220,31 @@ TEST_F(ObsExportTest, OpenMetricsTextIsValid) {
             std::string::npos);
   EXPECT_NE(std::string(obs::openMetricsContentType()).find("openmetrics"),
             std::string::npos);
+}
+
+TEST_F(ObsExportTest, OverflowQuantilesAreNullInJsonAndInfInOpenMetrics) {
+  obs::Histogram& h = obs::Registry::instance().histogram(
+      "export.overflow", std::vector<double>{1.0, 2.0});
+  for (int i = 0; i < 10; ++i) h.observe(50.0);
+  const std::string json = obs::snapshotJson();
+  const std::size_t at = json.find("\"export.overflow\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::string entry = json.substr(at, json.find('}', at) - at);
+  EXPECT_NE(entry.find("\"p50\": null"), std::string::npos) << entry;
+  EXPECT_NE(entry.find("\"p99\": null"), std::string::npos) << entry;
+  EXPECT_EQ(entry.find("inf"), std::string::npos) << entry;
+
+  const std::string line =
+      obs::sampleJsonLine(obs::Registry::instance().snapshot(), 1, 0, 0);
+  const std::size_t lat = line.find("\"export.overflow\"");
+  ASSERT_NE(lat, std::string::npos);
+  const std::string lentry = line.substr(lat, line.find('}', lat) - lat);
+  EXPECT_NE(lentry.find("\"p50\":null"), std::string::npos) << lentry;
+  EXPECT_EQ(lentry.find("inf"), std::string::npos) << lentry;
+
+  const std::string text = obs::openMetricsText();
+  validateOpenMetrics(text);
+  EXPECT_NE(text.find("viaduct_export_overflow_p50 +Inf"), std::string::npos);
 }
 
 TEST_F(ObsExportTest, SampleJsonLineIsSingleLine) {

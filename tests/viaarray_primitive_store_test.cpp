@@ -259,12 +259,54 @@ TEST_F(PrimitiveStoreTest, PrimitiveKeySeparatesSolverButNotEmModel) {
   b.seed = 999;
   EXPECT_EQ(a.primitiveKey(), b.primitiveKey());
   EXPECT_NE(a.cacheKey(), b.cacheKey());
-  // ...but the preconditioner and the geometry do.
-  b.feaPreconditioner = FeaPreconditionerKind::kIc0;
-  EXPECT_NE(a.primitiveKey(), b.primitiveKey());
-  b.feaPreconditioner = a.feaPreconditioner;
+  // ...but the geometry does.
   b.resolutionXy *= 0.5;
   EXPECT_NE(a.primitiveKey(), b.primitiveKey());
+}
+
+TEST_F(PrimitiveStoreTest, DefaultKeysMatchTheirPersistedForm) {
+  // Byte-for-byte the keys that existing characterization caches and
+  // primitive stores were written under: any change orphans them all.
+  const ViaArrayCharacterizationSpec spec;
+  EXPECT_EQ(spec.cacheKey(),
+            "n=4;A=9.9999999999999998e-13;sp=0;pat=Plus;"
+            "w=1.9999999999999999e-06;m=1.5e-06;res=1.2499999999999999e-07;"
+            "j=10000000000;Rarr=0.40000000000000002;sheet=0.02;"
+            "Ea=0.84999999999999998;D0=2.7000000000000002e-09;"
+            "sD=0.29999999999999999;rho=2.9999999999999997e-08;"
+            "B=28000000000;gam=1.7;Rf=1e-08;sRf=0.050000000000000003;"
+            "T=378.14999999999998;pkg=0;cal=0.80000000000000004,0;tr=500;"
+            "seed=12345;stk=2.9999999999999999e-07,2.4999999999999999e-07,"
+            "2.9999999999999999e-07;rng=ctr1;key=p17;solve=inc1;rtol=1e-10;"
+            "fea=mg");
+  EXPECT_EQ(spec.primitiveKey(),
+            "n=4;A=9.9999999999999998e-13;sp=0;pat=Plus;"
+            "w=1.9999999999999999e-06;m=1.5e-06;res=1.2499999999999999e-07;"
+            "stk=2.9999999999999999e-07,2.4999999999999999e-07,"
+            "2.9999999999999999e-07;fea=mg;Ta=350;Top=105;"
+            "tol=9.9999999999999995e-08;key=p17v1");
+}
+
+TEST_F(PrimitiveStoreTest, RetriedFeaSolveIsNotPersisted) {
+  // The first FEA CG attempt stalls; the policy retry converges under a
+  // tightened tolerance. The characterization succeeds, but its stress
+  // differs from a clean cold solve's, so the store must stay empty.
+  auto store = std::make_shared<StressPrimitiveStore>(path_);
+  auto spec = smallSpec(1);
+  spec.primitiveStore = store;
+  fault::Registry::instance().arm("cg.nonconverge", {.nth = 1});
+  const std::int64_t retriesBefore = static_cast<std::int64_t>(
+      obs::Registry::instance().counter("fault.policy.fea_retries").value());
+  ViaArrayCharacterizer ch(spec);
+  fault::Registry::instance().disarmAll();
+  EXPECT_EQ(static_cast<std::int64_t>(obs::Registry::instance()
+                                          .counter("fault.policy.fea_retries")
+                                          .value()) -
+                retriesBefore,
+            1);
+  EXPECT_EQ(ch.rawSigmaT().size(), 4u);
+  EXPECT_FALSE(store->load(spec.primitiveKey()).has_value());
+  EXPECT_EQ(store->entryCount(), 0u);
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ int cmdGenerate(int argc, const char* const* argv) {
 int cmdAnalyze(int argc, const char* const* argv) {
   std::string netlistPath, preset = "PG1", arrayCrit = "open",
                            systemCrit = "ir", cachePath, checkpointPath,
-                           feaPrecond = "mg", primitiveStorePath;
+                           primitiveStorePath;
   int viaN = 4, trials = 300, charTrials = 300, threads = 0,
       checkpointEvery = 32;
   bool resume = false, exactResolve = false, wireAudit = false;
@@ -127,9 +127,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
                 "characterize with the legacy from-scratch LU network solve "
                 "instead of the incremental factor-downdate path (slow; A/B "
                 "verification only)");
-  flags.addString("fea-precond", &feaPrecond,
-                  "FEA stress-solve preconditioner: mg (geometric multigrid, "
-                  "fastest), ic0, or bj (seed baseline)");
   flags.addString("primitive-store", &primitiveStorePath,
                   "on-disk FEA stress-primitive store; a warm store "
                   "characterizes with zero FEA solves");
@@ -158,11 +155,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
   config.trials = trials;
   config.characterization.trials = charTrials;
   config.characterization.network.exactResolve = exactResolve;
-  const auto kind = parseFeaPreconditionerName(feaPrecond);
-  if (!kind)
-    throw PreconditionError("unknown --fea-precond '" + feaPrecond +
-                            "' (mg, ic0, or bj)");
-  config.characterization.feaPreconditioner = *kind;
   if (!primitiveStorePath.empty())
     config.characterization.primitiveStore =
         std::make_shared<StressPrimitiveStore>(primitiveStorePath);
@@ -227,7 +219,7 @@ int cmdCharacterize(int argc, const char* const* argv) {
   int n = 4, trials = 500, threads = 0, checkpointEvery = 32;
   bool resume = false, exactResolve = false;
   std::string pattern = "Plus", criterion = "open", cachePath, checkpointPath,
-              feaPrecond = "mg", primitiveStorePath;
+              primitiveStorePath;
   CliFlags flags("viaduct_cli characterize: level-1 via-array TTF");
   flags.addInt("n", &n, "via array dimension");
   flags.addString("pattern", &pattern, "Plus, T, or L");
@@ -249,9 +241,6 @@ int cmdCharacterize(int argc, const char* const* argv) {
                 "use the legacy from-scratch LU network solve instead of "
                 "the incremental factor-downdate path (slow; A/B "
                 "verification only)");
-  flags.addString("fea-precond", &feaPrecond,
-                  "FEA stress-solve preconditioner: mg (geometric multigrid, "
-                  "fastest), ic0, or bj (seed baseline)");
   flags.addString("primitive-store", &primitiveStorePath,
                   "on-disk FEA stress-primitive store; a warm store "
                   "characterizes with zero FEA solves");
@@ -260,11 +249,6 @@ int cmdCharacterize(int argc, const char* const* argv) {
   ViaArrayCharacterizationSpec spec;
   spec.array.n = n;
   spec.network.exactResolve = exactResolve;
-  const auto kind = parseFeaPreconditionerName(feaPrecond);
-  if (!kind)
-    throw PreconditionError("unknown --fea-precond '" + feaPrecond +
-                            "' (mg, ic0, or bj)");
-  spec.feaPreconditioner = *kind;
   if (!primitiveStorePath.empty())
     spec.primitiveStore =
         std::make_shared<StressPrimitiveStore>(primitiveStorePath);
