@@ -153,11 +153,8 @@ Point measure(Index targetNodes, int trials, int steadyReps,
 
   const MeshSpec spec = meshSpecForNodeTarget(targetNodes);
   Netlist netlist = buildMeshNetlist(spec);
-  PowerGridConfig config;
-  config.gridSolver = SpdSolverKind::kSupernodal;
-  config.gridOrdering = OrderingChoice::kAmd;
-  tuneNominalIrDrop(netlist, 0.08, config);
-  const PowerGridModel model(netlist, config);
+  tuneNominalIrDrop(netlist, 0.08);
+  const PowerGridModel model(netlist);
   p.nodes = model.unknownCount();
 
   const WireGeometry geometry = meshWireGeometry();

@@ -1,22 +1,18 @@
 // PG-scale sweep of the level-2 grid engine (BENCH_grid_scale.json).
 //
-// For synthetic two-layer meshes from ~1e4 to ~1e6 nodes this measures, per
+// For synthetic two-layer meshes from ~1e4 to ~2e6 nodes this measures, per
 // size:
-//   - the one-time shared base factorization (supernodal + AMD),
-//   - the per-failure incremental update cost inside a Session,
-//   - end-to-end grid Monte Carlo throughput with the shared base factor,
-//   - the same Monte Carlo with sharedBaseFactor OFF (the legacy
-//     factorization-per-trial architecture, given the same supernodal+AMD
-//     backend — a charitable baseline), measured over fewer trials at the
-//     large sizes and reported per-trial; `baseline_trials_measured` records
-//     exactly how many trials the baseline number averages.
-// It also cross-checks healthy-grid voltages between up-looking+RCM and
-// supernodal+AMD at the sizes where the banded factor is still tractable,
-// and verifies the shared-base Monte Carlo is bit-identical across thread
-// counts.
+//   - the one-time base factorization (supernodal + AMD),
+//   - the per-failure cost (Woodbury update + re-solve) inside a Session,
+//   - end-to-end grid Monte Carlo throughput on the shared base.
+// It also checks the model's healthy-grid voltages against an up-looking +
+// RCM SparseCholesky oracle solve at the sizes where the banded factor is
+// still tractable, and verifies the Monte Carlo is bit-identical across
+// thread counts.
 //
 // --smoke runs the smallest mesh only with reduced trial counts and asserts
-// the parity and speedup floors; tier-1 runs it on every commit.
+// the parity, determinism and EM-mode gates; tier-1 runs it on every
+// commit.
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -32,6 +28,8 @@
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
 #include "grid/wire_mortality.h"
+#include "numerics/cholesky.h"
+#include "numerics/supernodal_cholesky.h"
 
 using namespace viaduct;
 
@@ -45,11 +43,8 @@ struct Point {
   double fillRatio = 0.0;
   double factorSeconds = 0.0;
   double perFailureSeconds = 0.0;
-  int sharedTrials = 0;
-  double sharedSecondsPerTrial = 0.0;
-  int baselineTrialsMeasured = 0;
-  double baselineSecondsPerTrial = 0.0;
-  double speedup = 0.0;
+  int mcTrials = 0;
+  double mcSecondsPerTrial = 0.0;
   double parityMaxRelDiff = -1.0;  // -1: not measured at this size
   bool deterministicAcrossThreads = true;
   // EM-mode axis (DESIGN.md §5.14): the wire-EM audit is diagnostic-only,
@@ -76,32 +71,24 @@ GridMcOptions mcOptions(int trials, int maxFailures) {
   return opts;
 }
 
-Point measure(Index targetNodes, int sharedTrials, int baselineTrials,
-              int maxFailures, bool parity, bool threadSweep, int emTrials) {
+Point measure(Index targetNodes, int mcTrials, int maxFailures, bool parity,
+              bool threadSweep, int emTrials) {
   Point p;
   p.targetNodes = targetNodes;
 
   MeshSpec spec = meshSpecForNodeTarget(targetNodes);
   Netlist netlist = buildMeshNetlist(spec);
 
-  PowerGridConfig config;
-  config.gridSolver = SpdSolverKind::kSupernodal;
-  config.gridOrdering = OrderingChoice::kAmd;
   // Healthy worst IR drop at 8% of Vdd: below the 10% failure criterion
   // with headroom that a handful of via-array opens can erase.
-  tuneNominalIrDrop(netlist, 0.08, config);
+  tuneNominalIrDrop(netlist, 0.08);
+  const PowerGridModel model(netlist);
 
-  // Shared-base model; time the construction-embedded base factorization
-  // by differencing against a factor-free build.
+  // The base factorization, timed on a fresh factor identical to the
+  // model's (same matrix, ordering and serial numeric sweep).
   auto t0 = std::chrono::steady_clock::now();
-  PowerGridConfig noFactor = config;
-  noFactor.sharedBaseFactor = false;
-  const PowerGridModel stampOnly(netlist, noFactor);
-  const double stampSeconds = seconds(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  const PowerGridModel model(netlist, config);
-  p.factorSeconds = std::max(0.0, seconds(t0) - stampSeconds);
+  { const SupernodalCholesky timed(model.conductanceMatrix()); }
+  p.factorSeconds = seconds(t0);
   p.nodes = model.unknownCount();
   p.viaArrays = model.viaArrays().size();
   p.factorNnz = model.baseFactor()->factorNonZeroCount();
@@ -110,19 +97,18 @@ Point measure(Index targetNodes, int sharedTrials, int baselineTrials,
                                      model.conductanceMatrix().rows()) /
                  2.0);
 
-  // Healthy-solve parity against the legacy up-looking+RCM pipeline.
+  // Healthy-solve parity against an up-looking + RCM oracle solve.
   if (parity) {
-    PowerGridConfig legacy;  // uplooking + rcm + shared base
-    const PowerGridModel legacyModel(netlist, legacy);
     const auto a = model.solveNominal();
-    const auto b = legacyModel.solveNominal();
-    VIADUCT_CHECK(a.solverOk && b.solverOk);
+    VIADUCT_CHECK(a.solverOk);
+    const std::vector<double> b =
+        SparseCholesky(model.conductanceMatrix(), OrderingChoice::kRcm)
+            .solve(model.rhsVector());
     double maxRel = 0.0;
     for (std::size_t i = 0; i < a.voltages.size(); ++i) {
       const double scale =
-          std::max({std::abs(a.voltages[i]), std::abs(b.voltages[i]), 1e-12});
-      maxRel = std::max(maxRel,
-                        std::abs(a.voltages[i] - b.voltages[i]) / scale);
+          std::max({std::abs(a.voltages[i]), std::abs(b[i]), 1e-12});
+      maxRel = std::max(maxRel, std::abs(a.voltages[i] - b[i]) / scale);
     }
     p.parityMaxRelDiff = maxRel;
   }
@@ -142,38 +128,20 @@ Point measure(Index targetNodes, int sharedTrials, int baselineTrials,
     p.perFailureSeconds = seconds(t0) / failures;
   }
 
-  // End-to-end Monte Carlo, shared base.
-  const GridMcOptions shared = mcOptions(sharedTrials, maxFailures);
+  // End-to-end Monte Carlo.
+  const GridMcOptions mc = mcOptions(mcTrials, maxFailures);
   t0 = std::chrono::steady_clock::now();
-  GridMcResult sharedResult = runGridMonteCarlo(model, shared);
-  p.sharedTrials = sharedTrials;
-  p.sharedSecondsPerTrial = seconds(t0) / sharedTrials;
+  const GridMcResult mcResult = runGridMonteCarlo(model, mc);
+  p.mcTrials = mcTrials;
+  p.mcSecondsPerTrial = seconds(t0) / mcTrials;
 
-  // Baseline: identical physics, factorization per trial.
-  const GridMcOptions base = mcOptions(baselineTrials, maxFailures);
-  t0 = std::chrono::steady_clock::now();
-  GridMcResult baseResult = runGridMonteCarlo(stampOnly, base);
-  p.baselineTrialsMeasured = baselineTrials;
-  p.baselineSecondsPerTrial = seconds(t0) / baselineTrials;
-  p.speedup = p.baselineSecondsPerTrial / p.sharedSecondsPerTrial;
-
-  // The two architectures must produce identical samples (same trials,
-  // same solver backend — only the factor's ownership differs).
-  const std::size_t common =
-      std::min(sharedResult.ttfSamples.size(), baseResult.ttfSamples.size());
-  for (std::size_t i = 0; i < common; ++i) {
-    VIADUCT_CHECK_MSG(
-        sharedResult.ttfSamples[i] == baseResult.ttfSamples[i],
-        "shared-base and per-trial-factor Monte Carlo samples diverged");
-  }
-
-  // Bit-identity across thread counts (shared base, smallest sizes).
+  // Bit-identity across thread counts (smallest sizes).
   if (threadSweep) {
     for (const int threads : {4, 8}) {
-      GridMcOptions opts = shared;
+      GridMcOptions opts = mc;
       opts.parallelism.threads = threads;
       const GridMcResult result = runGridMonteCarlo(model, opts);
-      if (result.ttfSamples != sharedResult.ttfSamples)
+      if (result.ttfSamples != mcResult.ttfSamples)
         p.deterministicAcrossThreads = false;
     }
   }
@@ -213,11 +181,8 @@ void writePoint(std::ostream& os, const Point& p, bool last) {
      << ", \"fill_ratio\": " << p.fillRatio
      << ", \"factor_seconds\": " << p.factorSeconds
      << ", \"per_failure_update_seconds\": " << p.perFailureSeconds
-     << ", \"shared_trials\": " << p.sharedTrials
-     << ", \"shared_seconds_per_trial\": " << p.sharedSecondsPerTrial
-     << ", \"baseline_trials_measured\": " << p.baselineTrialsMeasured
-     << ", \"baseline_seconds_per_trial\": " << p.baselineSecondsPerTrial
-     << ", \"end_to_end_speedup\": " << p.speedup
+     << ", \"mc_trials\": " << p.mcTrials
+     << ", \"mc_seconds_per_trial\": " << p.mcSecondsPerTrial
      << ", \"parity_max_rel_diff\": " << p.parityMaxRelDiff
      << ", \"deterministic_across_threads\": "
      << (p.deterministicAcrossThreads ? "true" : "false")
@@ -246,30 +211,26 @@ int main(int argc, char** argv) {
   // drown the measurements (and trip tier-1's WARN scan).
   setLogLevel(LogLevel::kError);
 
-  std::cout << "=== perf_grid_scale: shared-base supernodal level-2 engine ==="
+  std::cout << "=== perf_grid_scale: supernodal level-2 engine ==="
             << (smoke ? " [smoke]" : "") << "\n";
 
   std::vector<Point> points;
   if (smoke) {
-    points.push_back(measure(/*targetNodes=*/10000, /*sharedTrials=*/12,
-                             /*baselineTrials=*/6, /*maxFailures=*/3,
-                             /*parity=*/true, /*threadSweep=*/true,
-                             /*emTrials=*/3));
+    points.push_back(measure(/*targetNodes=*/10000, /*mcTrials=*/12,
+                             /*maxFailures=*/3, /*parity=*/true,
+                             /*threadSweep=*/true, /*emTrials=*/3));
   } else {
-    points.push_back(measure(10000, 40, 20, 4, true, true, 6));
-    points.push_back(measure(100000, 20, 8, 4, true, false, 3));
-    points.push_back(measure(1000000, 10, 2, 4, false, false, 0));
-    points.push_back(measure(2000000, 6, 2, 3, false, false, 2));
+    points.push_back(measure(10000, 40, 4, true, true, 6));
+    points.push_back(measure(100000, 20, 4, true, false, 3));
+    points.push_back(measure(1000000, 10, 4, false, false, 0));
+    points.push_back(measure(2000000, 6, 3, false, false, 2));
   }
 
   for (const Point& p : points) {
     std::cout << "  n=" << p.nodes << " (" << p.viaArrays
               << " arrays): factor " << p.factorSeconds << " s, nnz(L) "
               << p.factorNnz << ", per-failure " << p.perFailureSeconds
-              << " s, trial " << p.sharedSecondsPerTrial << " s vs baseline "
-              << p.baselineSecondsPerTrial << " s ("
-              << p.baselineTrialsMeasured << " trials) -> speedup "
-              << p.speedup << "x";
+              << " s, trial " << p.mcSecondsPerTrial << " s";
     if (p.parityMaxRelDiff >= 0.0)
       std::cout << ", parity " << p.parityMaxRelDiff;
     std::cout << "\n";
@@ -281,21 +242,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   os << "{\n  \"smoke\": " << (smoke ? "true" : "false")
-     << ",\n  \"solver\": \"supernodal+amd\",\n  \"baseline\": "
-        "\"factorization-per-trial, supernodal+amd\",\n  \"points\": [\n";
+     << ",\n  \"solver\": \"supernodal+amd\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i)
     writePoint(os, points[i], i + 1 == points.size());
-  os << "  ],\n  \"largest_mesh_speedup\": " << points.back().speedup
-     << "\n}\n";
+  os << "  ]\n}\n";
   std::cout << "wrote " << out << "\n";
 
-  // Gates. Parity everywhere it was measured; a conservative speedup floor
-  // in smoke mode, the paper-level 5x floor for the full sweep's largest
-  // mesh; determinism wherever the thread sweep ran.
+  // Gates: oracle parity everywhere it was measured, determinism wherever
+  // the thread sweep ran, EM-mode identity wherever that axis ran.
   bool pass = true;
   for (const Point& p : points) {
     if (p.parityMaxRelDiff > 1e-10) {
-      std::cerr << "FAIL: uplooking/supernodal parity " << p.parityMaxRelDiff
+      std::cerr << "FAIL: supernodal/oracle parity " << p.parityMaxRelDiff
                 << " at n=" << p.nodes << "\n";
       pass = false;
     }
@@ -314,12 +272,6 @@ int main(int argc, char** argv) {
                 << p.nodes << "\n";
       pass = false;
     }
-  }
-  const double speedupFloor = smoke ? 1.3 : 5.0;
-  if (points.back().speedup < speedupFloor) {
-    std::cerr << "FAIL: largest-mesh speedup " << points.back().speedup
-              << "x below the " << speedupFloor << "x floor\n";
-    pass = false;
   }
   return pass ? 0 : 1;
 }

@@ -113,8 +113,10 @@ void BM_WoodburyRebaseThresholdSweep(benchmark::State& state) {
     }
     WoodburySolver::Options opts;
     opts.rebaseThreshold = threshold;
-    WoodburySolver solver(CsrMatrix::fromTriplets(t), opts);
-    std::vector<double> b(static_cast<std::size_t>(model.unknownCount()), 1e-4);
+    WoodburySolver solver(
+        CsrMatrix::fromTriplets(t),
+        std::vector<double>(static_cast<std::size_t>(model.unknownCount()), 1e-4),
+        opts);
     state.ResumeTiming();
     for (int k = 0; k < 20; ++k) {
       const Index i = static_cast<Index>(rng.uniformInt(
@@ -122,7 +124,7 @@ void BM_WoodburyRebaseThresholdSweep(benchmark::State& state) {
       const Index j = ((i + 1) % side != 0) ? i + 1 : i + side;
       const double g = -solver.currentMatrix().at(i, j);
       solver.updateBranch(i, j, -0.5 * g);
-      benchmark::DoNotOptimize(solver.solve(b));
+      benchmark::DoNotOptimize(solver.solve());
     }
   }
   state.SetLabel("threshold " + std::to_string(threshold));

@@ -214,11 +214,8 @@ int main(int argc, char** argv) {
 
   const MeshSpec spec = meshSpecForNodeTarget(10000);
   Netlist netlist = buildMeshNetlist(spec);
-  PowerGridConfig config;
-  config.gridSolver = SpdSolverKind::kSupernodal;
-  config.gridOrdering = OrderingChoice::kAmd;
-  tuneNominalIrDrop(netlist, 0.08, config);
-  const PowerGridModel model(netlist, config);
+  tuneNominalIrDrop(netlist, 0.08);
+  const PowerGridModel model(netlist);
 
   Report report;
   report.nodes = model.unknownCount();

@@ -197,15 +197,13 @@ std::string gridMcCheckpointKey(const PowerGridModel& model,
     dists << d.mu() << ',' << d.sigma() << ';';
   dists << '|';
   for (const double s : options.perArrayTtfScale) dists << s << ';';
-  // v2: the direct-solver backend joined the key. Different backends agree
-  // only to ~1e-10, and trial samples are persisted bit-exactly, so a
-  // snapshot must not be resumed under a different solver or ordering.
   // v3: the wire-EM audit joined the key (and, when enabled, the trial
   // payload grows two audit values), so snapshots written with a different
   // audit mode / margin / tree decomposition must not be resumed.
-  os << "gridmc-v3;model=" << std::hex << model.structureDigest() << std::dec
-     << ";gsolve=" << spdSolverKindName(model.config().gridSolver) << ','
-     << orderingChoiceName(model.config().gridOrdering)
+  // v4: supernodal+AMD became the only grid backend. Samples moved by
+  // ~1e-10 and are persisted bit-exactly, so no v3 snapshot (written by
+  // any backend) may resume.
+  os << "gridmc-v4;model=" << std::hex << model.structureDigest() << std::dec
      << ";ttf=" << options.arrayTtf.mu() << ',' << options.arrayTtf.sigma()
      << ";per=" << std::hex << fnv1aHash(dists.str()) << std::dec
      << ";iref=" << options.referenceCurrentAmps

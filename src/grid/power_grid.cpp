@@ -16,36 +16,30 @@ namespace viaduct {
 
 namespace {
 
-/// Builds the model's immutable base factorization with the configured
-/// backend, falling back down a retry ladder (configured → up-looking+RCM)
-/// when the policy layer allows recovery. The "grid.base_factor" fault site
-/// models acquisition failures of the configured backend (e.g. a marginal
-/// pivot that the scalar factorization's ordering survives).
-std::shared_ptr<const SpdFactor> buildBaseFactor(const CsrMatrix& g,
-                                                 const PowerGridConfig& config) {
+/// Builds the model's immutable base factorization: supernodal Cholesky
+/// with AMD ordering, falling back to the RCM ordering when the policy
+/// layer allows recovery. The "grid.base_factor" fault site models
+/// acquisition failures of either rung (e.g. a marginal pivot that the
+/// other elimination order survives).
+std::unique_ptr<const SupernodalCholesky> buildBaseFactor(
+    const CsrMatrix& g, const PowerGridConfig& config) {
   VIADUCT_SPAN("grid.base_factor");
-  auto attempt = [&](SpdSolverKind kind, OrderingChoice ordering)
-      -> std::shared_ptr<const SpdFactor> {
+  ThreadPool pool(std::max(1, config.factorThreads));
+  auto attempt = [&](OrderingChoice ordering) {
     if (fault::shouldInject("grid.base_factor")) {
       throw NumericalError(
           "grid base factorization rejected (injected fault)");
     }
-    ThreadPool pool(std::max(1, config.factorThreads));
-    return buildSpdFactor(g, kind, ordering, &pool);
+    return std::make_unique<const SupernodalCholesky>(g, ordering, &pool);
   };
   try {
-    return attempt(config.gridSolver, config.gridOrdering);
+    return attempt(OrderingChoice::kAmd);
   } catch (const NumericalError& e) {
-    const bool configuredIsFallback =
-        config.gridSolver == SpdSolverKind::kUplooking &&
-        config.gridOrdering == OrderingChoice::kRcm;
-    if (!config.policy.enabled || configuredIsFallback) throw;
-    VIADUCT_WARN << "grid base factorization ("
-                 << spdSolverKindName(config.gridSolver) << "+"
-                 << orderingChoiceName(config.gridOrdering) << ") failed: "
-                 << e.what() << "; retrying with uplooking+rcm";
+    if (!config.policy.enabled) throw;
+    VIADUCT_WARN << "grid base factorization (supernodal+amd) failed: "
+                 << e.what() << "; retrying with supernodal+rcm";
     VIADUCT_COUNTER_ADD("fault.policy.base_factor_fallbacks", 1);
-    return attempt(SpdSolverKind::kUplooking, OrderingChoice::kRcm);
+    return attempt(OrderingChoice::kRcm);
   }
 }
 
@@ -122,7 +116,7 @@ PowerGridModel::PowerGridModel(const Netlist& netlist,
 
   TripletMatrix triplets(unknownCount_, unknownCount_);
   triplets.reserve(4 * netlist.resistors().size() + 16);
-  rhs_.assign(static_cast<std::size_t>(unknownCount_), 0.0);
+  std::vector<double> rhs(static_cast<std::size_t>(unknownCount_), 0.0);
 
   for (const auto& r : netlist.resistors()) {
     VIADUCT_REQUIRE_MSG(r.ohms > 0.0,
@@ -135,8 +129,8 @@ PowerGridModel::PowerGridModel(const Netlist& netlist,
     const bool isVia = r.name.rfind(config_.viaArrayPrefix, 0) == 0;
     if (ia == kGroundNode && ib == kGroundNode) continue;  // pad-to-pad
     triplets.stampConductance(ia, ib, g);
-    if (ia == kGroundNode && ib >= 0) rhs_[ib] += g * va;
-    if (ib == kGroundNode && ia >= 0) rhs_[ia] += g * vb;
+    if (ia == kGroundNode && ib >= 0) rhs[ib] += g * va;
+    if (ib == kGroundNode && ia >= 0) rhs[ia] += g * vb;
     if (isVia) {
       VIADUCT_REQUIRE_MSG(
           ia >= 0 && ib >= 0,
@@ -150,29 +144,25 @@ PowerGridModel::PowerGridModel(const Netlist& netlist,
     const auto [in, vn] = reduced(c.negative);
     (void)vp;
     (void)vn;
-    if (ip >= 0) rhs_[ip] -= c.amps;
-    if (in >= 0) rhs_[in] += c.amps;
+    if (ip >= 0) rhs[ip] -= c.amps;
+    if (in >= 0) rhs[in] += c.amps;
   }
 
-  conductance_ =
-      std::make_shared<const CsrMatrix>(CsrMatrix::fromTriplets(triplets));
   nodeToUnknown_ = idx.toUnknown;
   nodeKnownVoltage_ = idx.knownVoltage;
   nodeIsKnown_ = idx.known;
-  if (config_.sharedBaseFactor)
-    baseFactor_ = buildBaseFactor(*conductance_, config_);
+  CsrMatrix g = CsrMatrix::fromTriplets(triplets);
+  auto factor = buildBaseFactor(g, config_);
+  base_ = std::make_shared<const WoodburyBase>(std::move(g), std::move(factor),
+                                               std::move(rhs));
   VIADUCT_DEBUG << "power grid: " << unknownCount_ << " unknowns, "
-                << viaArrays_.size() << " via arrays, Vdd=" << vdd_
-                << (baseFactor_ ? ", shared base factor" : "");
+                << viaArrays_.size() << " via arrays, Vdd=" << vdd_;
 }
 
 WoodburySolver PowerGridModel::makeSolver() const {
   WoodburySolver::Options opts;
   opts.policy = config_.policy;
-  opts.solver = config_.gridSolver;
-  opts.ordering = config_.gridOrdering;
-  if (baseFactor_) return WoodburySolver(conductance_, baseFactor_, opts);
-  return WoodburySolver(*conductance_, opts);
+  return WoodburySolver(base_, opts);
 }
 
 double PowerGridModel::nodeVoltage(Index netlistNode,
@@ -197,7 +187,7 @@ PowerGridModel::DcSolution PowerGridModel::evaluate(
   DcSolution sol;
   sol.pendingUpdates = solver.pendingUpdateCount();
   try {
-    sol.voltages = solver.solve(rhs_);
+    sol.voltages = solver.solve();
   } catch (const NumericalError& e) {
     VIADUCT_COUNTER_ADD("power_grid.solve_failures", 1);
     VIADUCT_DEBUG << "power grid DC solve failed (" << e.what()
@@ -238,7 +228,7 @@ PowerGridModel::DcSolution PowerGridModel::solveNominal() const {
 double PowerGridModel::kclResidual(const DcSolution& solution) const {
   VIADUCT_REQUIRE(solution.voltages.size() ==
                   static_cast<std::size_t>(unknownCount_));
-  return conductance_->residualNorm(solution.voltages, rhs_);
+  return base_->matrix.residualNorm(solution.voltages, base_->rhs);
 }
 
 std::uint64_t PowerGridModel::structureDigest() const {
@@ -250,13 +240,13 @@ std::uint64_t PowerGridModel::structureDigest() const {
     os << site.name << ',' << site.a << ',' << site.b << ','
        << site.nominalOhms << ';';
   os << '|';
-  for (const double v : rhs_) os << v << ',';
+  for (const double v : base_->rhs) os << v << ',';
   os << '|';
-  for (const Index p : conductance_->rowPointers()) os << p << ',';
+  for (const Index p : base_->matrix.rowPointers()) os << p << ',';
   os << '|';
-  for (const Index c : conductance_->colIndices()) os << c << ',';
+  for (const Index c : base_->matrix.colIndices()) os << c << ',';
   os << '|';
-  for (const double v : conductance_->values()) os << v << ',';
+  for (const double v : base_->matrix.values()) os << v << ',';
   return fnv1aHash(os.str());
 }
 

@@ -27,19 +27,9 @@ struct PowerGridConfig {
   /// Residual conductance fraction left when an array is opened, keeping
   /// the system numerically nonsingular while guaranteeing an IR breach.
   double openResidualFraction = 1e-9;
-  /// Direct-solver backend and fill ordering for the reduced conductance
-  /// system. PG-scale meshes want supernodal+AMD; the defaults keep the
-  /// historical (and bitwise-identical) up-looking+RCM pipeline.
-  SpdSolverKind gridSolver = SpdSolverKind::kUplooking;
-  OrderingChoice gridOrdering = OrderingChoice::kRcm;
-  /// Threads for the one-time base factorization (supernodal only; the
-  /// factor is bit-identical for every value).
+  /// Threads for the one-time base factorization (the factor is
+  /// bit-identical for every value).
   int factorThreads = 1;
-  /// Build one immutable base factorization per model and share it
-  /// (read-only) across every Session / Monte Carlo trial, so a trial pays
-  /// only its Woodbury deltas instead of a full factorization. Disabling
-  /// restores the legacy factor-per-session behavior (ablation/bench).
-  bool sharedBaseFactor = true;
   /// Failure policy threaded into the Woodbury solver (update-rejection
   /// recovery) and the failure Session (rebase-and-retry on a failed
   /// incremental solve).
@@ -82,7 +72,7 @@ class PowerGridModel {
     std::string solverError;
   };
 
-  /// Solves the healthy grid (fresh factorization).
+  /// Solves the healthy grid: the shared base solution, no triangular solve.
   DcSolution solveNominal() const;
 
   /// Voltage of an original netlist node under a solution: unknown nodes
@@ -112,6 +102,9 @@ class PowerGridModel {
     /// (non-const for exactly that recovery path).
     DcSolution solve();
 
+    /// The session's current conductance matrix (tests).
+    const CsrMatrix& currentMatrix() const { return solver_.currentMatrix(); }
+
    private:
     const PowerGridModel& model_;
     WoodburySolver solver_;
@@ -126,11 +119,14 @@ class PowerGridModel {
   /// benchmarks and external solver experiments (bench/perf_solvers.cpp
   /// exercises the real stamped system through these instead of a
   /// synthetic stand-in).
-  const CsrMatrix& conductanceMatrix() const { return *conductance_; }
-  const std::vector<double>& rhsVector() const { return rhs_; }
+  const CsrMatrix& conductanceMatrix() const { return base_->matrix; }
+  const std::vector<double>& rhsVector() const { return base_->rhs; }
 
-  /// The shared base factorization (nullptr when sharedBaseFactor is off).
-  std::shared_ptr<const SpdFactor> baseFactor() const { return baseFactor_; }
+  /// The shared base factorization (supernodal Cholesky, AMD ordering; RCM
+  /// after a recovered AMD failure).
+  std::shared_ptr<const SupernodalCholesky> baseFactor() const {
+    return {base_, base_->factor.get()};
+  }
 
   /// Stable digest of the full electrical system (reduced conductance
   /// matrix, loads, Vdd, via-array sites). Two models with the same digest
@@ -143,19 +139,17 @@ class PowerGridModel {
   DcSolution evaluate(const WoodburySolver& solver,
                       const std::vector<double>& arrayOhms) const;
 
-  /// A per-session/per-trial incremental solver. Shared-base mode adopts
-  /// the model's immutable factor (O(1)); otherwise the solver factors a
-  /// private copy like the legacy pipeline.
+  /// A per-session/per-trial incremental solver adopting the shared base
+  /// (O(1): no factorization, no solve).
   WoodburySolver makeSolver() const;
 
   PowerGridConfig config_;
   Index unknownCount_ = 0;
   double vdd_ = 0.0;
-  /// Healthy reduced system, behind a shared_ptr so shared-base solvers
-  /// can alias it without copying.
-  std::shared_ptr<const CsrMatrix> conductance_;
-  std::shared_ptr<const SpdFactor> baseFactor_;
-  std::vector<double> rhs_;    // load + pad injections
+  /// Healthy reduced system G v = b (b = load + pad injections), its
+  /// factorization and healthy solution, built once and shared read-only
+  /// by every Session.
+  std::shared_ptr<const WoodburyBase> base_;
   std::vector<ViaArraySite> viaArrays_;
   // Netlist-node -> reduced-system mapping (for nodeVoltage()).
   std::vector<Index> nodeToUnknown_;

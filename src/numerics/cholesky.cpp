@@ -27,16 +27,6 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a, OrderingChoice ordering) {
                                            static_cast<double>(aValues_.size()));
 }
 
-SparseCholesky::SparseCholesky(std::shared_ptr<const Symbolic> symbolic,
-                               const CsrMatrix& a)
-    : n_(symbolic->n), sym_(std::move(symbolic)) {
-  VIADUCT_SPAN("cholesky.refactor");
-  VIADUCT_COUNTER_ADD("cholesky.refactorizations", 1);
-  VIADUCT_REQUIRE(a.rows() == n_ && a.cols() == n_);
-  allocateNumeric();
-  numericFactor(permuted(a));
-}
-
 CsrMatrix SparseCholesky::permuted(const CsrMatrix& a) const {
   // Identity orderings skip the permutation copy entirely.
   for (Index i = 0; i < n_; ++i) {
@@ -116,7 +106,7 @@ void SparseCholesky::allocateNumeric() {
 }
 
 void SparseCholesky::numericFactor(const CsrMatrix& permuted) {
-  // Covers the constructor, refactor() and refactored() paths; mimics the
+  // Covers the constructor and refactor() paths; mimics the
   // organic failure mode (loss of positive definiteness) below.
   if (fault::shouldInject("cholesky.factor")) {
     throw NumericalError(
@@ -208,11 +198,6 @@ void SparseCholesky::refactor(const CsrMatrix& a) {
   VIADUCT_COUNTER_ADD("cholesky.refactorizations", 1);
   VIADUCT_REQUIRE(a.rows() == n_ && a.cols() == n_);
   numericFactor(permuted(a));
-}
-
-std::unique_ptr<SpdFactor> SparseCholesky::refactored(
-    const CsrMatrix& a) const {
-  return std::unique_ptr<SpdFactor>(new SparseCholesky(sym_, a));
 }
 
 void SparseCholesky::solve(std::span<const double> b,

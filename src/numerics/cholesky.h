@@ -1,15 +1,13 @@
 // Sparse Cholesky factorization (up-looking, elimination-tree based, in the
 // style of CSparse's cs_chol) with optional fill-reducing pre-ordering.
 //
-// This is the direct solver used for power-grid conductance systems: factor
-// once, then each IR-drop evaluation is two triangular solves. Combined
-// with the Woodbury engine (numerics/woodbury.h) it makes the sequential
-// via-failure Monte Carlo loop cheap.
+// The direct fallback of the CG ladder (numerics/spd_solve.h) and the
+// reference solve that tests hold the grid engine's supernodal factor
+// (numerics/supernodal_cholesky.h) and Woodbury updates against.
 //
 // The symbolic analysis (ordering, permuted lower-triangle pattern,
-// elimination tree, column pointers) lives behind a shared_ptr and is
-// SHARED by every factor cloned through refactored(): a per-trial rebase
-// pays only the numeric sweep, never a second ordering or etree pass.
+// elimination tree, column pointers) is computed once: refactor() pays only
+// the numeric sweep, never a second ordering or etree pass.
 #pragma once
 
 #include <memory>
@@ -18,14 +16,13 @@
 
 #include "numerics/ordering.h"
 #include "numerics/sparse.h"
-#include "numerics/spd_factor.h"
 
 namespace viaduct {
 
-class SparseCholesky : public SpdFactor {
+class SparseCholesky {
  public:
-  /// Historic spelling; the enum now lives at namespace scope so the
-  /// supernodal solver and the grid config can share it.
+  /// Historic spelling; the enum lives at namespace scope so the
+  /// supernodal solver can share it.
   using OrderingChoice = viaduct::OrderingChoice;
 
   /// Factors the SPD matrix `a`. Throws NumericalError if `a` is not
@@ -33,28 +30,26 @@ class SparseCholesky : public SpdFactor {
   explicit SparseCholesky(const CsrMatrix& a,
                           OrderingChoice ordering = OrderingChoice::kRcm);
 
-  Index size() const override { return n_; }
-  std::size_t factorNonZeroCount() const override { return values_.size(); }
-  SpdSolverKind kind() const override { return SpdSolverKind::kUplooking; }
+  Index size() const { return n_; }
+  std::size_t factorNonZeroCount() const { return values_.size(); }
 
   /// Solves A x = b (in the ORIGINAL ordering; permutation is internal).
-  using SpdFactor::solve;
+  std::vector<double> solve(std::span<const double> b) const {
+    std::vector<double> x(b.size());
+    solve(b, x);
+    return x;
+  }
 
   /// In-place variant writing into `x`. Thread-safe (allocates locally).
-  void solve(std::span<const double> b, std::span<double> x) const override;
+  void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Re-factors numerically with new values on the SAME sparsity structure
   /// (same row/col pattern as the constructor matrix). Faster than a fresh
   /// construction because symbolic analysis is reused.
   void refactor(const CsrMatrix& a);
 
-  /// Copy-on-write variant of refactor(): a new factor sharing this one's
-  /// symbolic analysis; the receiver (possibly shared across threads) is
-  /// untouched.
-  std::unique_ptr<SpdFactor> refactored(const CsrMatrix& a) const override;
-
  private:
-  /// Everything value-independent, shared across refactored() clones.
+  /// Everything value-independent.
   struct Symbolic {
     Index n = 0;
     Ordering ordering;
@@ -67,10 +62,6 @@ class SparseCholesky : public SpdFactor {
     std::vector<Index> parent;
     std::vector<Index> colPtr;
   };
-
-  /// Clone constructor for refactored(): shares `symbolic`, runs only the
-  /// numeric sweep on `a`.
-  SparseCholesky(std::shared_ptr<const Symbolic> symbolic, const CsrMatrix& a);
 
   static std::shared_ptr<const Symbolic> analyze(const CsrMatrix& permuted,
                                                  Ordering ordering);

@@ -18,11 +18,11 @@ struct Ordering {
   bool isValid() const;
 };
 
-/// Fill-reducing ordering selection shared by every sparse SPD factorization
-/// (SparseCholesky, SupernodalCholesky, the Woodbury engine and the grid
-/// model config). kAmd is the only choice that stays practical at
-/// million-node meshes; kRcm remains the default for the small stamped
-/// systems because its banded factors favor the up-looking solver.
+/// Fill-reducing ordering selection shared by the sparse SPD
+/// factorizations (SparseCholesky, SupernodalCholesky). kAmd is the only
+/// choice that stays practical at million-node meshes and orders the grid
+/// model's factor; kRcm is SparseCholesky's default because its banded
+/// factors favor the up-looking solver.
 enum class OrderingChoice { kNatural, kRcm, kMinimumDegree, kAmd };
 
 /// Builds the ordering named by `choice` for the symmetric structure of `a`.

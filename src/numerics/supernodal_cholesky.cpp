@@ -330,9 +330,9 @@ Index SupernodalCholesky::levelCount() const {
   return static_cast<Index>(sym_->levels.size());
 }
 
-std::unique_ptr<SpdFactor> SupernodalCholesky::refactored(
+std::unique_ptr<SupernodalCholesky> SupernodalCholesky::refactored(
     const CsrMatrix& a) const {
-  return std::unique_ptr<SpdFactor>(new SupernodalCholesky(sym_, a));
+  return std::unique_ptr<SupernodalCholesky>(new SupernodalCholesky(sym_, a));
 }
 
 void SupernodalCholesky::numericFactor(const CsrMatrix& permuted,

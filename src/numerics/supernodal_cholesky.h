@@ -24,13 +24,12 @@
 
 #include "numerics/ordering.h"
 #include "numerics/sparse.h"
-#include "numerics/spd_factor.h"
 
 namespace viaduct {
 
 class ThreadPool;
 
-class SupernodalCholesky final : public SpdFactor {
+class SupernodalCholesky {
  public:
   /// Factors the SPD matrix `a`. `pool` parallelizes the numeric
   /// factorization level by level (nullptr = serial; same bits either way).
@@ -39,14 +38,18 @@ class SupernodalCholesky final : public SpdFactor {
                               OrderingChoice ordering = OrderingChoice::kAmd,
                               ThreadPool* pool = nullptr);
 
-  Index size() const override { return n_; }
-  std::size_t factorNonZeroCount() const override;
-  SpdSolverKind kind() const override { return SpdSolverKind::kSupernodal; }
+  Index size() const { return n_; }
+  std::size_t factorNonZeroCount() const;
 
-  using SpdFactor::solve;
+  /// Solves A x = b in the original (unpermuted) ordering.
+  std::vector<double> solve(std::span<const double> b) const {
+    std::vector<double> x(b.size());
+    solve(b, x);
+    return x;
+  }
 
   /// Serial triangular solves (thread-safe: allocates locally).
-  void solve(std::span<const double> b, std::span<double> x) const override;
+  void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Level-scheduled parallel triangular solves. Bit-identical for every
   /// pool size (contributions are scattered in a fixed serial order per
@@ -55,11 +58,12 @@ class SupernodalCholesky final : public SpdFactor {
   void solve(std::span<const double> b, std::span<double> x,
              ThreadPool* pool) const;
 
-  /// Copy-on-write numeric re-factorization on the same structure; shares
-  /// the symbolic analysis (ordering, etree, supernode partition, update
-  /// lists). Runs serially — rebases happen per Monte Carlo trial, inside
-  /// worker threads.
-  std::unique_ptr<SpdFactor> refactored(const CsrMatrix& a) const override;
+  /// Copy-on-write numeric re-factorization on the same structure, returned
+  /// as a fresh factor sharing the symbolic analysis (ordering, etree,
+  /// supernode partition, update lists); the receiver, possibly shared
+  /// across threads, is untouched. Runs serially — rebases happen per
+  /// Monte Carlo trial, inside worker threads.
+  std::unique_ptr<SupernodalCholesky> refactored(const CsrMatrix& a) const;
 
   // Introspection for tests and the scaling bench.
   Index supernodeCount() const;

@@ -8,25 +8,42 @@
 
 namespace viaduct {
 
-WoodburySolver::WoodburySolver(CsrMatrix g0, const Options& options)
-    : options_(options) {
-  VIADUCT_REQUIRE(g0.rows() == g0.cols());
-  base_ = std::make_shared<const CsrMatrix>(std::move(g0));
-  sharedBase_ = buildSpdFactor(*base_, options_.solver, options_.ordering);
+WoodburyBase::WoodburyBase(CsrMatrix matrixIn,
+                           std::unique_ptr<const SupernodalCholesky> factorIn,
+                           std::vector<double> rhsIn)
+    : matrix(std::move(matrixIn)),
+      factor(std::move(factorIn)),
+      rhs(std::move(rhsIn)),
+      x0(factor->solve(rhs)) {
+  // factor->solve(rhs) has already checked rhs against the factor.
+  VIADUCT_REQUIRE(matrix.rows() == matrix.cols() &&
+                  factor->size() == matrix.rows());
 }
 
-WoodburySolver::WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
-                               std::shared_ptr<const SpdFactor> baseFactor,
+namespace {
+
+std::shared_ptr<const WoodburyBase> privateBase(CsrMatrix g0,
+                                                std::vector<double> rhs) {
+  auto factor = std::make_unique<const SupernodalCholesky>(g0);
+  return std::make_shared<const WoodburyBase>(std::move(g0), std::move(factor),
+                                              std::move(rhs));
+}
+
+}  // namespace
+
+WoodburySolver::WoodburySolver(CsrMatrix g0, std::vector<double> rhs,
                                const Options& options)
-    : options_(options), base_(std::move(g0)), sharedBase_(std::move(baseFactor)) {
-  VIADUCT_REQUIRE(base_ != nullptr && sharedBase_ != nullptr);
-  VIADUCT_REQUIRE(base_->rows() == base_->cols() &&
-                  sharedBase_->size() == base_->rows());
-  // The owning constructor factors here and so consumes one decision from
-  // the cholesky.factor fault stream per solver. Adopting a shared factor
-  // skips the factorization but must keep that per-solver stream alignment
-  // (and the failure surface: acquiring a base factor can still fail), so
-  // it queries the same site exactly once.
+    : WoodburySolver(privateBase(std::move(g0), std::move(rhs)), options) {}
+
+WoodburySolver::WoodburySolver(std::shared_ptr<const WoodburyBase> base,
+                               const Options& options)
+    : options_(options), base_(std::move(base)) {
+  VIADUCT_REQUIRE(base_ != nullptr);
+  // Adopting the base is where a solver acquires its factorization, and
+  // that acquisition keeps its failure surface: every solver queries the
+  // cholesky.factor site exactly once, so an armed site fails sessions
+  // (and consumes one decision of the trial's fault stream) as a
+  // per-session factorization would.
   if (fault::shouldInject("cholesky.factor")) {
     throw NumericalError(
         "WoodburySolver: base factorization rejected (injected fault)");
@@ -35,7 +52,7 @@ WoodburySolver::WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
 
 void WoodburySolver::recordDelta(Index i, Index j, double deltaG) {
   auto check = [&](Index r, Index c) {
-    VIADUCT_REQUIRE_MSG(base_->valueIndex(r, c) >= 0,
+    VIADUCT_REQUIRE_MSG(base_->matrix.valueIndex(r, c) >= 0,
                         "branch entry absent from the sparsity structure");
   };
   if (i >= 0) check(i, i);
@@ -61,7 +78,7 @@ void WoodburySolver::recordDelta(Index i, Index j, double deltaG) {
 
 const CsrMatrix& WoodburySolver::currentMatrix() const {
   if (!gCache_) {
-    gCache_.emplace(*base_);
+    gCache_.emplace(base_->matrix);
     auto values = gCache_->mutableValues();
     auto bump = [&](Index r, Index c, double dv) {
       values[static_cast<std::size_t>(gCache_->valueIndex(r, c))] += dv;
@@ -80,14 +97,16 @@ const CsrMatrix& WoodburySolver::currentMatrix() const {
 }
 
 std::vector<double> WoodburySolver::incidenceSolve(Index i, Index j) const {
-  std::vector<double> a(static_cast<std::size_t>(base_->rows()), 0.0);
+  std::vector<double> a(static_cast<std::size_t>(size()), 0.0);
   if (i >= 0) a[i] = 1.0;
   if (j >= 0) a[j] = -1.0;
   return activeFactor().solve(a);
 }
 
 void WoodburySolver::foldIntoFactor() {
-  privateFactor_ = activeFactor().refactored(currentMatrix());
+  auto factor = activeFactor().refactored(currentMatrix());
+  privateX0_ = factor->solve(base_->rhs);
+  privateFactor_ = std::move(factor);
 }
 
 void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
@@ -98,7 +117,7 @@ void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
   // (i, j), so sort the pair and keep a ground endpoint (−1) in slot j.
   if (i < 0) std::swap(i, j);
   if (j >= 0 && i > j) std::swap(i, j);
-  VIADUCT_REQUIRE(i >= 0 && i < base_->rows() && j < base_->rows());
+  VIADUCT_REQUIRE(i >= 0 && i < size() && j < size());
 
   // The accumulated deltas always describe the true updated matrix from
   // here on, so a full re-factorization is a valid recovery for anything
@@ -150,14 +169,14 @@ void WoodburySolver::rebase() {
   ++rebases_;
 }
 
-std::vector<double> WoodburySolver::solve(std::span<const double> b) const {
+std::vector<double> WoodburySolver::solve() const {
   if (fault::shouldInject("woodbury.solve")) {
     throw NumericalError("Woodbury solve failed (injected fault)");
   }
   VIADUCT_COUNTER_ADD("woodbury.solves", 1);
   VIADUCT_HISTOGRAM_OBSERVE("woodbury.pending_updates", branches_.size(),
                             obs::Buckets::linear(0, 8, 16));
-  std::vector<double> x = activeFactor().solve(b);
+  std::vector<double> x = activeX0();
   const std::size_t k = branches_.size();
   if (k == 0) return x;
 
@@ -176,7 +195,7 @@ std::vector<double> WoodburySolver::solve(std::span<const double> b) const {
     c(m, m) += 1.0 / branches_[m].deltaG;
   }
 
-  // w = Uᵀ x.
+  // w = Uᵀ x0.
   std::vector<double> w(k);
   for (std::size_t m = 0; m < k; ++m) {
     const Branch& bm = branches_[m];

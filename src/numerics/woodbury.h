@@ -1,4 +1,4 @@
-// Incremental solves for a conductance matrix under a sequence of branch
+// Incremental solves of one fixed system G x = b under a sequence of branch
 // (two-terminal) conductance changes, via the Sherman–Morrison–Woodbury
 // identity.
 //
@@ -6,34 +6,46 @@
 // time; each failure changes one branch conductance. With G = G0 + U D Uᵀ
 // (U columns are ±1 incidence vectors of the changed branches, D the
 // conductance deltas),
-//   G⁻¹ b = G0⁻¹ b − Z (D⁻¹ + Uᵀ Z)⁻¹ Zᵀ b,   Z = G0⁻¹ U,
-// so each *new* failed branch costs one factored solve (to extend Z) and
-// each voltage evaluation costs one factored solve plus a dense k×k solve,
-// where k is the number of distinct changed branches so far. When k exceeds
-// `rebaseThreshold`, the updates are folded into G0 and the matrix is
-// re-factored numerically (symbolic analysis reused).
+//   G⁻¹ b = x0 − Z (D⁻¹ + Uᵀ Z)⁻¹ Uᵀ x0,   Z = G0⁻¹ U,   x0 = G0⁻¹ b.
+// The right-hand side is fixed, so x0 is solved once, next to the base
+// factorization, and shared: each *new* failed branch costs one factored
+// solve (to extend Z) and each voltage evaluation only a dense k×k solve
+// plus the O(n·k) correction, with no triangular solve at all, where k is
+// the number of distinct changed branches so far. When k exceeds
+// `rebaseThreshold`, the updates are folded into G0: the matrix is
+// re-factored numerically into a private factor (symbolic analysis reused)
+// and x0 is re-solved once on it.
 //
-// Two ownership modes:
-//  - Owning (legacy): the solver copies G0 and factors it itself.
-//  - Shared-base: the solver borrows an immutable factorization of G0 built
-//    once (e.g. per PowerGridModel) and shared by every Monte Carlo trial
-//    on every thread. Construction is then O(1); the solver never touches
-//    the shared factor, promoting to a private clone (refactored(), which
-//    reuses the shared symbolic analysis) only if it has to rebase.
+// The base (G0, its factorization, b and x0) is an immutable WoodburyBase
+// built once, e.g. per PowerGridModel, and shared read-only by every
+// solver on every thread. Adopting it is O(1); a solver never touches it,
+// promoting to a private factor only when it has to rebase.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "fault/policy.h"
 #include "numerics/dense.h"
 #include "numerics/sparse.h"
-#include "numerics/spd_factor.h"
+#include "numerics/supernodal_cholesky.h"
 
 namespace viaduct {
+
+/// The fixed system G0 x0 = b a WoodburySolver starts from.
+struct WoodburyBase {
+  /// Adopts `factor`, a factorization of `matrix`, and solves x0 once.
+  WoodburyBase(CsrMatrix matrix,
+               std::unique_ptr<const SupernodalCholesky> factor,
+               std::vector<double> rhs);
+
+  const CsrMatrix matrix;
+  const std::unique_ptr<const SupernodalCholesky> factor;
+  const std::vector<double> rhs;
+  const std::vector<double> x0;  // factor->solve(rhs)
+};
 
 class WoodburySolver {
  public:
@@ -41,10 +53,6 @@ class WoodburySolver {
     /// Fold updates into the base factorization when the number of distinct
     /// changed branches exceeds this.
     int rebaseThreshold = 48;
-    OrderingChoice ordering = OrderingChoice::kRcm;
-    /// Factorization backend for the owning constructor (the shared-base
-    /// constructor inherits whatever the caller built).
-    SpdSolverKind solver = SpdSolverKind::kUplooking;
     /// Recovery behavior when an incremental update is rejected: with
     /// `refactorOnWoodburyFailure` the delta (already applied to the
     /// tracked matrix) is folded into a fresh base factorization instead
@@ -52,21 +60,20 @@ class WoodburySolver {
     fault::FailurePolicy policy;
   };
 
-  /// Owning mode: `g0` must be SPD; it is copied and factored here.
-  explicit WoodburySolver(CsrMatrix g0) : WoodburySolver(std::move(g0), Options{}) {}
-  WoodburySolver(CsrMatrix g0, const Options& options);
-
-  /// Shared-base mode: `baseFactor` is a factorization of `*g0`, built once
-  /// and shared across solvers/threads; it is never mutated through this
-  /// class. Construction performs no factorization work.
-  WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
-                 std::shared_ptr<const SpdFactor> baseFactor)
-      : WoodburySolver(std::move(g0), std::move(baseFactor), Options{}) {}
-  WoodburySolver(std::shared_ptr<const CsrMatrix> g0,
-                 std::shared_ptr<const SpdFactor> baseFactor,
+  /// Adopts a shared base; performs no factorization or solve.
+  explicit WoodburySolver(std::shared_ptr<const WoodburyBase> base)
+      : WoodburySolver(std::move(base), Options{}) {}
+  WoodburySolver(std::shared_ptr<const WoodburyBase> base,
                  const Options& options);
 
-  Index size() const { return base_->rows(); }
+  /// Builds a private base for G0 = `g0` (must be SPD; factored with
+  /// supernodal Cholesky + AMD) and b = `rhs`.
+  WoodburySolver(CsrMatrix g0, std::vector<double> rhs)
+      : WoodburySolver(std::move(g0), std::move(rhs), Options{}) {}
+  WoodburySolver(CsrMatrix g0, std::vector<double> rhs,
+                 const Options& options);
+
+  Index size() const { return base_->matrix.rows(); }
 
   /// Applies a conductance delta to branch (i, j). Node index -1 denotes
   /// ground (an eliminated node), giving a rank-1 update on a single node.
@@ -76,8 +83,9 @@ class WoodburySolver {
   /// disconnected node would make it singular and the next solve throws.
   void updateBranch(Index i, Index j, double deltaG);
 
-  /// Solves G x = b with the current accumulated updates.
-  std::vector<double> solve(std::span<const double> b) const;
+  /// Solves G x = b, b the base's right-hand side, with the current
+  /// accumulated updates. With none pending this is x0 itself.
+  std::vector<double> solve() const;
 
   /// Number of distinct branches currently tracked as low-rank updates
   /// (zero right after construction or a rebase).
@@ -86,15 +94,11 @@ class WoodburySolver {
   /// Total rebase operations performed (for instrumentation/ablation).
   int rebaseCount() const { return rebases_; }
 
-  /// True while solves still go through the borrowed shared factor (no
-  /// private re-factorization has been needed yet).
-  bool usesSharedBase() const { return privateFactor_ == nullptr; }
-
   /// Forces folding updates into the base factorization now.
   void rebase();
 
-  /// Read access to the current (updated) matrix values. Materialized
-  /// lazily in shared-base mode (the common trial never needs it).
+  /// Read access to the current (updated) matrix values, materialized
+  /// lazily (the common trial never needs it).
   const CsrMatrix& currentMatrix() const;
 
  private:
@@ -105,10 +109,13 @@ class WoodburySolver {
     std::vector<double> z;   // G0⁻¹ a, a = e_i − e_j
   };
 
-  /// The factor solves go through: the private clone once one exists,
-  /// otherwise the (possibly shared) base factor.
-  const SpdFactor& activeFactor() const {
-    return privateFactor_ ? *privateFactor_ : *sharedBase_;
+  /// The factor and base solution solves start from: the private pair
+  /// once a rebase made one, otherwise the shared base's.
+  const SupernodalCholesky& activeFactor() const {
+    return privateFactor_ ? *privateFactor_ : *base_->factor;
+  }
+  const std::vector<double>& activeX0() const {
+    return privateFactor_ ? privateX0_ : base_->x0;
   }
 
   void recordDelta(Index i, Index j, double deltaG);
@@ -116,12 +123,12 @@ class WoodburySolver {
   std::vector<double> incidenceSolve(Index i, Index j) const;
 
   Options options_;
-  std::shared_ptr<const CsrMatrix> base_;        // matrix at construction
-  std::shared_ptr<const SpdFactor> sharedBase_;  // factorization of *base_
-  std::unique_ptr<SpdFactor> privateFactor_;     // after the first rebase
+  std::shared_ptr<const WoodburyBase> base_;
+  std::unique_ptr<SupernodalCholesky> privateFactor_;  // after a rebase
+  std::vector<double> privateX0_;  // privateFactor_⁻¹ b
 
-  /// Accumulated branch deltas relative to *base_ (canonical keys), and the
-  /// lazily materialized current matrix (base_ plus those deltas).
+  /// Accumulated branch deltas relative to base_->matrix (canonical keys),
+  /// and the lazily materialized current matrix (base plus those deltas).
   std::map<std::pair<Index, Index>, double> appliedDelta_;
   mutable std::optional<CsrMatrix> gCache_;
 

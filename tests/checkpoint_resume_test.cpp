@@ -146,6 +146,35 @@ TEST_F(CheckpointResumeTest, StaleSnapshotIsRejectedAndRerunMatches) {
   expectSameSamples(fresh, rerun);
 }
 
+TEST_F(CheckpointResumeTest, PreviousKeyVersionSnapshotIsRejected) {
+  // A gridmc-v3 snapshot (written while the grid backend was selectable and
+  // keyed by ";gsolve=") holds samples from another factorization, ~1e-10
+  // away. Re-keyed to the v3 form and poisoned, it must not resume.
+  const auto& model = mcModel();
+  auto opts = mcOptions();
+  opts.checkpoint.path = path_;
+  runGridMonteCarlo(model, opts);
+
+  const std::string key = gridMcCheckpointKey(model, opts);
+  ASSERT_EQ(key.rfind("gridmc-v4;model=", 0), 0u);
+  EXPECT_EQ(key.find("gsolve"), std::string::npos);
+  const std::size_t ttf = key.find(";ttf=");
+  ASSERT_NE(ttf, std::string::npos);
+  const checkpoint::CheckpointFile file(path_);
+  auto snap = file.load(key, opts.trials);
+  ASSERT_TRUE(snap.has_value());
+  snap->configKey = "gridmc-v3" + key.substr(9, ttf - 9) +
+                    ";gsolve=uplooking,rcm" + key.substr(ttf);
+  for (auto& [trial, record] : snap->trials) record.primary[0] = -1.0;
+  ASSERT_TRUE(file.write(*snap));
+
+  opts.checkpoint.resume = true;
+  const auto rerun = runGridMonteCarlo(model, opts);
+  EXPECT_EQ(rerun.resumedTrials, 0);
+  opts.checkpoint = {};
+  expectSameSamples(runGridMonteCarlo(model, opts), rerun);
+}
+
 TEST_F(CheckpointResumeTest, CorruptSnapshotRecoversFromScratch) {
   const auto& model = mcModel();
   auto opts = mcOptions();

@@ -1,10 +1,14 @@
 // Level-2 shared-base engine tests: the synthetic mesh generator, the
-// immutable shared base factorization behind every Session, supernodal vs
-// up-looking session parity, thread-count bit-identity of the grid Monte
-// Carlo, and the grid.base_factor / cholesky.supernodal_factor fault sites.
+// immutable base factorization and base solution behind every Session,
+// session and Monte Carlo parity with an up-looking SparseCholesky oracle
+// of the session's current matrix, thread-count bit-identity of the grid
+// Monte Carlo, and the grid.base_factor / cholesky.supernodal_factor fault
+// sites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -14,6 +18,7 @@
 #include "grid/grid_mc.h"
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
+#include "numerics/cholesky.h"
 #include "numerics/supernodal_cholesky.h"
 
 namespace viaduct {
@@ -42,41 +47,106 @@ Netlist tunedMesh(const MeshSpec& spec, double irFraction = 0.08) {
   return n;
 }
 
-PowerGridConfig supernodalConfig() {
-  PowerGridConfig config;
-  config.gridSolver = SpdSolverKind::kSupernodal;
-  config.gridOrdering = OrderingChoice::kAmd;
-  return config;
+/// Exact solve of a session's current system: a fresh up-looking + RCM
+/// factorization of the session's current matrix (the test oracle).
+std::vector<double> oracleVoltages(const PowerGridModel& model,
+                                   const PowerGridModel::Session& session) {
+  return SparseCholesky(session.currentMatrix(), OrderingChoice::kRcm)
+      .solve(model.rhsVector());
 }
 
-/// Opens the same pseudo-random array sequence in both sessions and
-/// demands voltage agreement within `tol` after every step.
-void compareSessions(const PowerGridModel& a, const PowerGridModel& b,
-                     int steps, double tol, std::uint64_t seed) {
-  ASSERT_EQ(a.viaArrays().size(), b.viaArrays().size());
-  PowerGridModel::Session sa(a);
-  PowerGridModel::Session sb(b);
+void expectMatchesOracle(const PowerGridModel& model,
+                         const PowerGridModel::Session& session,
+                         const PowerGridModel::DcSolution& sol, double tol,
+                         int step) {
+  ASSERT_TRUE(sol.solverOk);
+  const std::vector<double> ref = oracleVoltages(model, session);
+  ASSERT_EQ(sol.voltages.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_NEAR(sol.voltages[i], ref[i], tol)
+        << "node " << i << " after step " << step;
+  double minV = ref[0];
+  for (const double v : ref) minV = std::min(minV, v);
+  EXPECT_NEAR(sol.worstIrDropFraction, (model.vdd() - minV) / model.vdd(),
+              tol);
+}
+
+/// Opens (and every third step degrades) a pseudo-random array sequence
+/// in one session and demands agreement with the oracle after every step.
+void compareWithOracle(const PowerGridModel& model, int steps, double tol,
+                       std::uint64_t seed) {
+  PowerGridModel::Session session(model);
   Rng rng(seed, 0);
-  const int count = static_cast<int>(a.viaArrays().size());
+  const int count = static_cast<int>(model.viaArrays().size());
   for (int s = 0; s < steps; ++s) {
     const int idx = static_cast<int>(rng.uniform(0.0, 1.0) * count) % count;
     if (s % 3 == 2) {
-      sa.degradeArray(idx, 5.0);
-      sb.degradeArray(idx, 5.0);
+      session.degradeArray(idx, 5.0);
     } else {
-      sa.openArray(idx);
-      sb.openArray(idx);
+      session.openArray(idx);
     }
-    const auto va = sa.solve();
-    const auto vb = sb.solve();
-    ASSERT_TRUE(va.solverOk);
-    ASSERT_TRUE(vb.solverOk);
-    ASSERT_EQ(va.voltages.size(), vb.voltages.size());
-    for (std::size_t i = 0; i < va.voltages.size(); ++i)
-      ASSERT_NEAR(va.voltages[i], vb.voltages[i], tol)
-          << "node " << i << " after step " << s;
-    EXPECT_NEAR(va.worstIrDropFraction, vb.worstIrDropFraction, tol);
+    expectMatchesOracle(model, session, session.solve(), tol, s);
   }
+}
+
+/// Test-side replay of runGridMonteCarlo's trials (global array TTF,
+/// IR-drop criterion) whose every DC solve is the oracle's: the same
+/// budgets, damage accumulation and victim choice, independent of the
+/// Woodbury engine.
+std::vector<double> oracleSamples(const PowerGridModel& model,
+                                  const GridMcOptions& options) {
+  const int count = static_cast<int>(model.viaArrays().size());
+  auto currents = [&](const std::vector<double>& v) {
+    std::vector<double> out;
+    for (const auto& site : model.viaArrays())
+      out.push_back(std::abs(v[site.a] - v[site.b]) / site.nominalOhms);
+    return out;
+  };
+  auto irFraction = [&](const std::vector<double>& v) {
+    return (model.vdd() - *std::min_element(v.begin(), v.end())) /
+           model.vdd();
+  };
+  std::vector<double> samples;
+  for (int trial = 0; trial < options.trials; ++trial) {
+    Rng rng(options.seed, static_cast<std::uint64_t>(trial));
+    std::vector<double> budget(static_cast<std::size_t>(count));
+    for (auto& b : budget) b = options.arrayTtf.sample(rng);
+    std::vector<double> damage(budget.size(), 0.0), rates(budget.size());
+    PowerGridModel::Session session(model);
+    std::vector<double> v = oracleVoltages(model, session);
+    double t = 0.0;
+    for (int failed = 0; failed < options.maxFailuresPerTrial; ++failed) {
+      // Only alive arrays are read, and they all carry nominal ohms.
+      const std::vector<double> amps = currents(v);
+      double best = std::numeric_limits<double>::infinity();
+      int victim = -1;
+      for (int m = 0; m < count; ++m) {
+        if (session.arrayOpen(m)) continue;
+        const auto um = static_cast<std::size_t>(m);
+        const double ratio = amps[um] / options.referenceCurrentAmps;
+        rates[um] = ratio * ratio / budget[um];
+        if (rates[um] <= 0.0) continue;
+        const double remaining = (1.0 - damage[um]) / rates[um];
+        if (remaining < best) {
+          best = remaining;
+          victim = m;
+        }
+      }
+      if (victim < 0) break;
+      t += best;
+      for (int m = 0; m < count; ++m) {
+        if (session.arrayOpen(m) || m == victim) continue;
+        damage[static_cast<std::size_t>(m)] +=
+            rates[static_cast<std::size_t>(m)] * best;
+      }
+      session.openArray(victim);
+      damage[static_cast<std::size_t>(victim)] = 1.0;
+      v = oracleVoltages(model, session);
+      if (irFraction(v) >= options.systemCriterion.irDropFraction) break;
+    }
+    samples.push_back(t);
+  }
+  return samples;
 }
 
 TEST_F(GridSharedBaseTest, MeshSpecHitsNodeTargets) {
@@ -91,7 +161,7 @@ TEST_F(GridSharedBaseTest, MeshSpecHitsNodeTargets) {
 
 TEST_F(GridSharedBaseTest, MeshBuildsAWorkingGridModel) {
   const MeshSpec spec = smallSpec();
-  const PowerGridModel model(tunedMesh(spec), supernodalConfig());
+  const PowerGridModel model(tunedMesh(spec));
   // All load + strap nodes are unknowns; pads are eliminated.
   EXPECT_EQ(model.unknownCount(), spec.nodeCount());
   // One via array per stripe/strap crossing.
@@ -110,43 +180,68 @@ TEST_F(GridSharedBaseTest, MeshNetlistIsDeterministic) {
 }
 
 TEST_F(GridSharedBaseTest, ModelExposesSharedBaseFactor) {
-  const Netlist net = tunedMesh(smallSpec());
-  const PowerGridModel shared(net, supernodalConfig());
-  ASSERT_NE(shared.baseFactor(), nullptr);
-  EXPECT_EQ(shared.baseFactor()->kind(), SpdSolverKind::kSupernodal);
-  EXPECT_EQ(shared.baseFactor()->size(), shared.unknownCount());
+  // The one grid factor: supernodal Cholesky under AMD.
+  const PowerGridModel model(tunedMesh(smallSpec()));
+  ASSERT_NE(model.baseFactor(), nullptr);
+  EXPECT_EQ(model.baseFactor()->size(), model.unknownCount());
+  EXPECT_EQ(model.baseFactor()->factorNonZeroCount(),
+            SupernodalCholesky(model.conductanceMatrix(), OrderingChoice::kAmd)
+                .factorNonZeroCount());
+}
 
-  PowerGridConfig off = supernodalConfig();
-  off.sharedBaseFactor = false;
-  const PowerGridModel legacy(net, off);
-  EXPECT_EQ(legacy.baseFactor(), nullptr);
+TEST_F(GridSharedBaseTest, SessionWithoutUpdatesIsTheBaseSolution) {
+  // With no pending update a solve is the shared x0, solved once next to
+  // the base factor: bit-equal to a fresh solve on that factor.
+  const PowerGridModel model(tunedMesh(smallSpec()));
+  const std::vector<double> fresh =
+      model.baseFactor()->solve(model.rhsVector());
+  PowerGridModel::Session session(model);
+  const auto sol = session.solve();
+  ASSERT_TRUE(sol.solverOk);
+  EXPECT_EQ(sol.pendingUpdates, 0);
+  EXPECT_EQ(sol.voltages, fresh);
+  EXPECT_EQ(model.solveNominal().voltages, fresh);
 }
 
 TEST_F(GridSharedBaseTest, SharedSessionsMatchExactPerTrialFactors) {
-  // Shared-base sessions (Woodbury deltas on the model's immutable factor)
-  // against the legacy architecture that refactors privately per session:
-  // same physics, so voltages must agree over a long failure sequence.
-  const Netlist net = tunedMesh(smallSpec());
-  PowerGridConfig off = supernodalConfig();
-  off.sharedBaseFactor = false;
-  const PowerGridModel shared(net, supernodalConfig());
-  const PowerGridModel exact(net, off);
-  compareSessions(shared, exact, /*steps=*/12, /*tol=*/1e-10, /*seed=*/31);
+  // Shared-base sessions (Woodbury deltas on the model's immutable factor
+  // and its shared base solution) against an exact factorization of the
+  // session's current matrix after every step.
+  const PowerGridModel model(tunedMesh(smallSpec()));
+  compareWithOracle(model, /*steps=*/12, /*tol=*/1e-10, /*seed=*/31);
 }
 
 TEST_F(GridSharedBaseTest, SupernodalSessionsMatchUplooking) {
-  // The two solver backends under identical failure sequences: supernodal
-  // + AMD vs the historical up-looking + RCM pipeline, both shared-base.
-  const Netlist net = tunedMesh(smallSpec());
-  const PowerGridModel supernodal(net, supernodalConfig());
-  const PowerGridModel uplooking(net, PowerGridConfig{});
-  EXPECT_EQ(uplooking.baseFactor()->kind(), SpdSolverKind::kUplooking);
-  compareSessions(supernodal, uplooking, /*steps=*/12, /*tol=*/1e-10,
-                  /*seed=*/77);
+  // The supernodal + AMD engine against the up-looking + RCM oracle under a
+  // second failure sequence.
+  const PowerGridModel model(tunedMesh(smallSpec()));
+  compareWithOracle(model, /*steps=*/12, /*tol=*/1e-10, /*seed=*/77);
+}
+
+TEST_F(GridSharedBaseTest, SessionAfterForcedRebaseMatchesOracle) {
+  // A failed incremental solve makes the session fold its updates into a
+  // private factor and re-solve its own base solution there. Every solve
+  // after that starts from the private x0, not the model's.
+  const PowerGridModel model(tunedMesh(smallSpec()));
+  PowerGridModel::Session session(model);
+  session.openArray(3);
+  session.degradeArray(41, 5.0);
+  fault::Registry::instance().arm("woodbury.solve", {.nth = 1});
+  const auto rebased = session.solve();
+  EXPECT_EQ(fault::Registry::instance().fireCount("woodbury.solve"), 1u);
+  EXPECT_EQ(rebased.pendingUpdates, 0);
+  expectMatchesOracle(model, session, rebased, 1e-10, 0);
+  const int more[] = {17, 58, 90};
+  for (int s = 0; s < 3; ++s) {
+    session.openArray(more[s]);
+    const auto sol = session.solve();
+    EXPECT_EQ(sol.pendingUpdates, s + 1);
+    expectMatchesOracle(model, session, sol, 1e-10, s + 1);
+  }
 }
 
 TEST_F(GridSharedBaseTest, GridMcBitIdenticalAcrossThreadCounts) {
-  const PowerGridModel model(tunedMesh(smallSpec()), supernodalConfig());
+  const PowerGridModel model(tunedMesh(smallSpec()));
   GridMcOptions opts;
   opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.4);
   opts.referenceCurrentAmps = 0.01;
@@ -167,35 +262,38 @@ TEST_F(GridSharedBaseTest, GridMcBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(GridSharedBaseTest, GridMcSamplesUnchangedBySharedBase) {
-  // Flipping sharedBaseFactor changes who owns the factorization, not the
-  // arithmetic: the Monte Carlo must emit identical samples either way.
-  const Netlist net = tunedMesh(smallSpec());
-  PowerGridConfig off = supernodalConfig();
-  off.sharedBaseFactor = false;
-  const PowerGridModel shared(net, supernodalConfig());
-  const PowerGridModel legacy(net, off);
+  // Sharing the base factor and base solution changes where the work is
+  // done, not the physics: the Monte Carlo's samples match a replay whose
+  // every solve is an exact factorization of the session's matrix.
+  const PowerGridModel model(tunedMesh(smallSpec()));
   GridMcOptions opts;
   opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.4);
   opts.referenceCurrentAmps = 0.01;
   opts.trials = 12;
   opts.seed = 4;
   opts.maxFailuresPerTrial = 6;
-  const auto a = runGridMonteCarlo(shared, opts);
-  const auto b = runGridMonteCarlo(legacy, opts);
-  ASSERT_EQ(a.ttfSamples.size(), b.ttfSamples.size());
-  for (std::size_t i = 0; i < a.ttfSamples.size(); ++i)
-    EXPECT_EQ(a.ttfSamples[i], b.ttfSamples[i]) << "trial " << i;
+  const auto mc = runGridMonteCarlo(model, opts);
+  const auto ref = oracleSamples(model, opts);
+  ASSERT_EQ(mc.ttfSamples.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    EXPECT_NEAR(mc.ttfSamples[i], ref[i], 1e-10 * ref[i]) << "trial " << i;
 }
 
 TEST_F(GridSharedBaseTest, BaseFactorFaultFallsBackDownTheLadder) {
   // grid.base_factor armed: with the policy enabled the model retries the
-  // base factorization with the up-looking + RCM fallback and stays usable.
+  // base factorization under the RCM ordering and stays usable.
   const Netlist net = tunedMesh(smallSpec());
   fault::Registry::instance().arm("grid.base_factor", {.nth = 1});
-  const PowerGridModel model(net, supernodalConfig());
+  const PowerGridModel model(net);
   EXPECT_GE(fault::Registry::instance().fireCount("grid.base_factor"), 1u);
   ASSERT_NE(model.baseFactor(), nullptr);
-  EXPECT_EQ(model.baseFactor()->kind(), SpdSolverKind::kUplooking);
+  const std::size_t rcmNnz =
+      SupernodalCholesky(model.conductanceMatrix(), OrderingChoice::kRcm)
+          .factorNonZeroCount();
+  EXPECT_EQ(model.baseFactor()->factorNonZeroCount(), rcmNnz);
+  EXPECT_NE(rcmNnz,
+            SupernodalCholesky(model.conductanceMatrix(), OrderingChoice::kAmd)
+                .factorNonZeroCount());
   const auto nominal = model.solveNominal();
   ASSERT_TRUE(nominal.solverOk);
   EXPECT_LT(model.kclResidual(nominal), 1e-9);
@@ -203,7 +301,7 @@ TEST_F(GridSharedBaseTest, BaseFactorFaultFallsBackDownTheLadder) {
 
 TEST_F(GridSharedBaseTest, BaseFactorFaultAbortsWithPolicyDisabled) {
   const Netlist net = tunedMesh(smallSpec());
-  PowerGridConfig config = supernodalConfig();
+  PowerGridConfig config;
   config.policy = fault::FailurePolicy::disabled();
   fault::Registry::instance().arm("grid.base_factor", {.nth = 1});
   EXPECT_THROW(PowerGridModel(net, config), NumericalError);
@@ -214,18 +312,20 @@ TEST_F(GridSharedBaseTest, SupernodalFactorSiteInjects) {
   // policy-enabled model recovers through the same ladder (the injected
   // NumericalError is indistinguishable from an organic one).
   const Netlist net = tunedMesh(smallSpec());
-  const PowerGridModel plain(net, supernodalConfig());
+  const PowerGridModel plain(net);
   fault::Registry::instance().arm("cholesky.supernodal_factor", {.nth = 1});
   EXPECT_THROW(SupernodalCholesky(plain.conductanceMatrix()), NumericalError);
 
   fault::Registry::instance().disarmAll();
   fault::Registry::instance().arm("cholesky.supernodal_factor", {.nth = 1});
-  const PowerGridModel recovered(net, supernodalConfig());
+  const PowerGridModel recovered(net);
   EXPECT_GE(
       fault::Registry::instance().fireCount("cholesky.supernodal_factor"),
       1u);
   ASSERT_NE(recovered.baseFactor(), nullptr);
-  EXPECT_EQ(recovered.baseFactor()->kind(), SpdSolverKind::kUplooking);
+  EXPECT_EQ(recovered.baseFactor()->factorNonZeroCount(),
+            SupernodalCholesky(plain.conductanceMatrix(), OrderingChoice::kRcm)
+                .factorNonZeroCount());
   ASSERT_TRUE(recovered.solveNominal().solverOk);
 }
 

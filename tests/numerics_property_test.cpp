@@ -81,8 +81,8 @@ TEST(NumericsProperty, CgCholeskyWoodburyAgreeOnRandomSystems) {
     cgOpts.relativeTolerance = 1e-12;
     const auto xCg = solveCgJacobi(sys.a, b, cgOpts);
     const auto xChol = SparseCholesky(sys.a).solve(b);
-    const WoodburySolver woodbury{CsrMatrix(sys.a)};
-    const auto xWood = woodbury.solve(b);
+    const WoodburySolver woodbury(CsrMatrix(sys.a), b);
+    const auto xWood = woodbury.solve();
 
     EXPECT_LT(relativeError(xCg, xChol), kAgreementTol) << "trial " << trial;
     EXPECT_LT(relativeError(xWood, xChol), kAgreementTol)
@@ -97,7 +97,7 @@ TEST(NumericsProperty, SolversAgreeAfterRankOneUpdates) {
     const auto sys = randomSpd(n, rng);
     const auto b = randomRhs(n, rng);
 
-    WoodburySolver woodbury(CsrMatrix(sys.a));
+    WoodburySolver woodbury(CsrMatrix(sys.a), b);
     // Weaken a handful of existing branches (diagonal dominance built in
     // enough slack that halving any branch keeps the matrix SPD).
     const int updates = 6;
@@ -108,7 +108,7 @@ TEST(NumericsProperty, SolversAgreeAfterRankOneUpdates) {
       woodbury.updateBranch(br.first, br.second, -0.25 * g);
     }
 
-    const auto xWood = woodbury.solve(b);
+    const auto xWood = woodbury.solve();
     const auto xChol = SparseCholesky(woodbury.currentMatrix()).solve(b);
     CgOptions cgOpts;
     cgOpts.relativeTolerance = 1e-12;
@@ -128,7 +128,7 @@ TEST(NumericsProperty, ForcedRebasesPreserveAgreement) {
 
   WoodburySolver::Options opts;
   opts.rebaseThreshold = 3;  // fold updates into the base aggressively
-  WoodburySolver woodbury(CsrMatrix(sys.a), opts);
+  WoodburySolver woodbury(CsrMatrix(sys.a), b, opts);
   int applied = 0;
   for (const auto& br : sys.branches) {
     if (applied >= 10) break;
@@ -136,7 +136,7 @@ TEST(NumericsProperty, ForcedRebasesPreserveAgreement) {
     woodbury.updateBranch(br.first, br.second, -0.2 * g);
     ++applied;
     // Every update keeps all three solvers in agreement, through rebases.
-    const auto xWood = woodbury.solve(b);
+    const auto xWood = woodbury.solve();
     const auto xChol = SparseCholesky(woodbury.currentMatrix()).solve(b);
     EXPECT_LT(relativeError(xWood, xChol), kAgreementTol)
         << "after update " << applied;

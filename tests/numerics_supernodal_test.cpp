@@ -10,7 +10,6 @@
 #include "numerics/cholesky.h"
 #include "numerics/dense.h"
 #include "numerics/ordering.h"
-#include "numerics/spd_factor.h"
 
 namespace viaduct {
 namespace {
@@ -140,7 +139,7 @@ TEST(SupernodalCholesky, MatchesDenseOnRandomSpdAllOrderings) {
       const auto xs = super.solve(b);
       for (std::size_t i = 0; i < b.size(); ++i)
         EXPECT_NEAR(xs[i], xd[i], 1e-10)
-            << "seed " << seed << " ordering " << orderingChoiceName(ord);
+            << "seed " << seed << " ordering " << static_cast<int>(ord);
     }
   }
 }
@@ -254,27 +253,6 @@ TEST(SupernodalCholesky, SupernodesActuallyMerge) {
   const CsrMatrix dense = randomSpd(120, 0.5, 9);
   const SupernodalCholesky denseChol(dense, OrderingChoice::kNatural);
   EXPECT_LE(denseChol.supernodeCount(), dense.rows() / 4);
-}
-
-TEST(SpdFactorFactory, BuildsBothKindsAndParsesNames) {
-  const CsrMatrix a = laplacian2d(8, 8, 0.05);
-  const auto b = randomVector(static_cast<std::size_t>(a.rows()), 51);
-  const auto up =
-      buildSpdFactor(a, SpdSolverKind::kUplooking, OrderingChoice::kRcm);
-  const auto super =
-      buildSpdFactor(a, SpdSolverKind::kSupernodal, OrderingChoice::kAmd);
-  EXPECT_EQ(up->kind(), SpdSolverKind::kUplooking);
-  EXPECT_EQ(super->kind(), SpdSolverKind::kSupernodal);
-  const auto xu = up->solve(b);
-  const auto xs = super->solve(b);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(xu[i], xs[i], 1e-10);
-
-  EXPECT_EQ(parseSpdSolverKind("supernodal"), SpdSolverKind::kSupernodal);
-  EXPECT_EQ(parseOrderingChoice("amd"), OrderingChoice::kAmd);
-  EXPECT_EQ(spdSolverKindName(SpdSolverKind::kSupernodal), "supernodal");
-  EXPECT_EQ(orderingChoiceName(OrderingChoice::kAmd), "amd");
-  EXPECT_THROW(parseSpdSolverKind("lu"), ParseError);
-  EXPECT_THROW(parseOrderingChoice("colamd"), ParseError);
 }
 
 }  // namespace

@@ -33,8 +33,8 @@ TEST(WoodburySolver, MatchesBaseSolveWithoutUpdates) {
   Rng rng(51);
   std::vector<double> b(36);
   for (auto& v : b) v = rng.uniform(0.0, 1.0);
-  WoodburySolver w(g);
-  const auto x = w.solve(b);
+  WoodburySolver w(g, b);
+  const auto x = w.solve();
   const auto ref = referenceSolve(g, b);
   for (std::size_t i = 0; i < 36; ++i) EXPECT_NEAR(x[i], ref[i], 1e-10);
 }
@@ -45,9 +45,9 @@ TEST(WoodburySolver, SingleBranchUpdateMatchesRefactor) {
   std::vector<double> b(36);
   for (auto& v : b) v = rng.uniform(0.0, 1.0);
 
-  WoodburySolver w(g);
+  WoodburySolver w(g, b);
   w.updateBranch(3, 4, -0.7);  // weaken one branch
-  const auto x = w.solve(b);
+  const auto x = w.solve();
 
   // Reference: rebuild the modified matrix from scratch.
   EXPECT_NEAR(norm2(x), norm2(referenceSolve(w.currentMatrix(), b)), 1e-8);
@@ -61,7 +61,7 @@ TEST(WoodburySolver, SequenceOfUpdatesMatchesRefactor) {
   std::vector<double> b(64);
   for (auto& v : b) v = rng.uniform(0.0, 1.0);
 
-  WoodburySolver w(g);
+  WoodburySolver w(g, b);
   // Fail several branches fully (conductance -> ~0) one at a time.
   const std::vector<std::pair<Index, Index>> branches = {
       {0, 1}, {9, 10}, {20, 28}, {45, 46}, {17, 25}};
@@ -69,7 +69,7 @@ TEST(WoodburySolver, SequenceOfUpdatesMatchesRefactor) {
     const double gOld = -w.currentMatrix().at(i, j);
     ASSERT_GT(gOld, 0.0);
     w.updateBranch(i, j, -gOld * 0.999);
-    const auto x = w.solve(b);
+    const auto x = w.solve();
     const auto ref = referenceSolve(w.currentMatrix(), b);
     for (std::size_t k = 0; k < 64; ++k) EXPECT_NEAR(x[k], ref[k], 1e-7);
   }
@@ -79,11 +79,11 @@ TEST(WoodburySolver, SequenceOfUpdatesMatchesRefactor) {
 TEST(WoodburySolver, RepeatedUpdateOfSameBranchAccumulates) {
   const CsrMatrix g = gridConductance(5, 5);
   std::vector<double> b(25, 0.5);
-  WoodburySolver w(g);
+  WoodburySolver w(g, b);
   w.updateBranch(2, 3, -0.3);
   w.updateBranch(2, 3, -0.3);
   EXPECT_EQ(w.pendingUpdateCount(), 1);  // same branch: one column
-  const auto x = w.solve(b);
+  const auto x = w.solve();
   const auto ref = referenceSolve(w.currentMatrix(), b);
   for (std::size_t k = 0; k < 25; ++k) EXPECT_NEAR(x[k], ref[k], 1e-9);
 }
@@ -91,20 +91,20 @@ TEST(WoodburySolver, RepeatedUpdateOfSameBranchAccumulates) {
 TEST(WoodburySolver, EndpointOrderIrrelevant) {
   const CsrMatrix g = gridConductance(5, 5);
   std::vector<double> b(25, 1.0);
-  WoodburySolver w1(g), w2(g);
+  WoodburySolver w1(g, b), w2(g, b);
   w1.updateBranch(7, 8, -0.5);
   w2.updateBranch(8, 7, -0.5);
-  const auto x1 = w1.solve(b);
-  const auto x2 = w2.solve(b);
+  const auto x1 = w1.solve();
+  const auto x2 = w2.solve();
   for (std::size_t k = 0; k < 25; ++k) EXPECT_NEAR(x1[k], x2[k], 1e-12);
 }
 
 TEST(WoodburySolver, GroundBranchUpdate) {
   const CsrMatrix g = gridConductance(4, 4);
   std::vector<double> b(16, 1.0);
-  WoodburySolver w(g);
+  WoodburySolver w(g, b);
   w.updateBranch(5, -1, 2.0);  // strengthen a tie to ground
-  const auto x = w.solve(b);
+  const auto x = w.solve();
   const auto ref = referenceSolve(w.currentMatrix(), b);
   for (std::size_t k = 0; k < 16; ++k) EXPECT_NEAR(x[k], ref[k], 1e-9);
 }
@@ -114,14 +114,14 @@ TEST(WoodburySolver, RebasePreservesSolutions) {
   Rng rng(61);
   std::vector<double> b(36);
   for (auto& v : b) v = rng.uniform(0.0, 1.0);
-  WoodburySolver w(g);
+  WoodburySolver w(g, b);
   w.updateBranch(1, 2, -0.4);
   w.updateBranch(8, 14, -0.9);
-  const auto before = w.solve(b);
+  const auto before = w.solve();
   w.rebase();
   EXPECT_EQ(w.pendingUpdateCount(), 0);
   EXPECT_EQ(w.rebaseCount(), 1);
-  const auto after = w.solve(b);
+  const auto after = w.solve();
   for (std::size_t k = 0; k < 36; ++k) EXPECT_NEAR(before[k], after[k], 1e-9);
 }
 
@@ -129,7 +129,8 @@ TEST(WoodburySolver, AutoRebaseAtThreshold) {
   const CsrMatrix g = gridConductance(10, 10);
   WoodburySolver::Options opts;
   opts.rebaseThreshold = 3;
-  WoodburySolver w(g, opts);
+  const std::vector<double> b(100, 1.0);
+  WoodburySolver w(g, b, opts);
   w.updateBranch(0, 1, -0.1);
   w.updateBranch(1, 2, -0.1);
   w.updateBranch(2, 3, -0.1);
@@ -137,22 +138,21 @@ TEST(WoodburySolver, AutoRebaseAtThreshold) {
   w.updateBranch(3, 4, -0.1);  // exceeds threshold -> rebase
   EXPECT_EQ(w.rebaseCount(), 1);
   EXPECT_EQ(w.pendingUpdateCount(), 0);
-  std::vector<double> b(100, 1.0);
-  const auto x = w.solve(b);
+  const auto x = w.solve();
   const auto ref = referenceSolve(w.currentMatrix(), b);
   for (std::size_t k = 0; k < 100; ++k) EXPECT_NEAR(x[k], ref[k], 1e-8);
 }
 
 TEST(WoodburySolver, RejectsSelfLoopAndDoubleGround) {
   const CsrMatrix g = gridConductance(3, 3);
-  WoodburySolver w(g);
+  WoodburySolver w(g, std::vector<double>(9, 1.0));
   EXPECT_THROW(w.updateBranch(2, 2, 1.0), PreconditionError);
   EXPECT_THROW(w.updateBranch(-1, -1, 1.0), PreconditionError);
 }
 
 TEST(WoodburySolver, RejectsStructurallyAbsentBranch) {
   const CsrMatrix g = gridConductance(3, 3);
-  WoodburySolver w(g);
+  WoodburySolver w(g, std::vector<double>(9, 1.0));
   // Nodes 0 and 8 are opposite corners: no direct branch entry.
   EXPECT_THROW(w.updateBranch(0, 8, -0.1), PreconditionError);
 }
@@ -168,7 +168,7 @@ TEST_P(WoodburyFailureSweep, ManySequentialOpensStayAccurate) {
 
   WoodburySolver::Options opts;
   opts.rebaseThreshold = 6;  // force several rebases for large sweeps
-  WoodburySolver w(g, opts);
+  WoodburySolver w(g, b, opts);
 
   int done = 0;
   for (Index y = 0; y < 9 && done < failures; ++y) {
@@ -181,7 +181,7 @@ TEST_P(WoodburyFailureSweep, ManySequentialOpensStayAccurate) {
       ++done;
     }
   }
-  const auto x = w.solve(b);
+  const auto x = w.solve();
   const auto ref = referenceSolve(w.currentMatrix(), b);
   for (std::size_t k = 0; k < 81; ++k) EXPECT_NEAR(x[k], ref[k], 1e-6);
 }

@@ -13,10 +13,11 @@
 #   6. the perf_viaarray A/B smoke: the incremental network solver and the
 #      legacy exact path must agree step-by-step and across a full level-1
 #      characterization (exit is nonzero on mismatch, never on timing);
-#   7. the perf_grid_scale smoke: the level-2 shared-base supernodal engine
-#      on a ~1e4-node synthetic mesh — asserts up-looking/supernodal voltage
-#      parity, thread-count bit-identity, and a floor on the shared-base
-#      speedup over factorization-per-trial (exit is nonzero on any miss);
+#   7. the perf_grid_scale smoke: the level-2 supernodal engine on a
+#      ~1e4-node synthetic mesh — records the base factor, per-failure and
+#      per-trial costs, asserts voltage parity with an up-looking Cholesky
+#      oracle solve, thread-count and EM-mode bit-identity (exit is nonzero
+#      on any miss, never on timing);
 #   8. the perf_obs_export smoke: grid MC with live telemetry fully on
 #      (registry + JSONL sampler + HTTP listener + a scraper thread) must
 #      stay within the telemetry overhead budget and keep ttfSamples
@@ -108,9 +109,9 @@ echo "=== [6/13] perf_viaarray: incremental vs exact solver A/B smoke ==="
 # if the two solver paths disagree.
 (cd build/bench && ./perf_viaarray --benchmark_filter='^$')
 
-echo "=== [7/13] perf_grid_scale: shared-base level-2 engine smoke ==="
-# Parity, determinism, and speedup gates on the smallest mesh; the full
-# 1e4 -> 1e6 sweep is the same binary without --smoke.
+echo "=== [7/13] perf_grid_scale: level-2 engine smoke ==="
+# Oracle-parity and determinism gates on the smallest mesh; the full
+# 1e4 -> 2e6 sweep is the same binary without --smoke.
 (cd build/bench && ./perf_grid_scale --smoke)
 
 echo "=== [8/13] perf_obs_export: live-telemetry overhead + bit-identity ==="

@@ -99,8 +99,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
       checkpointEvery = 32;
   bool resume = false, exactResolve = false, wireAudit = false;
   double tuneIr = 0.06, wireMarginMpa = 340.0;
-  std::string gridSolver = "uplooking", gridOrdering = "rcm",
-              emMode = "steady";
+  std::string emMode = "steady";
   CliFlags flags("viaduct_cli analyze: two-level EM TTF analysis");
   flags.addString("netlist", &netlistPath, "SPICE netlist (overrides preset)");
   flags.addString("preset", &preset, "PG1/PG2/PG5");
@@ -130,11 +129,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
   flags.addString("primitive-store", &primitiveStorePath,
                   "on-disk FEA stress-primitive store; a warm store "
                   "characterizes with zero FEA solves");
-  flags.addString("grid-solver", &gridSolver,
-                  "direct solver for the grid system: uplooking|supernodal "
-                  "(supernodal+amd scales to ~1e6-node meshes)");
-  flags.addString("grid-ordering", &gridOrdering,
-                  "fill-reducing ordering: natural|rcm|mindeg|amd");
   flags.addBool("wire-audit", &wireAudit,
                 "audit every MC failure configuration's wire stresses with "
                 "the steady-state tree solver (diagnostic; TTF samples are "
@@ -143,14 +137,12 @@ int cmdAnalyze(int argc, const char* const* argv) {
                   "wire-EM verdict mode: steady|transient|hybrid "
                   "(steady = linear-time closed form; hybrid = steady "
                   "filter + transient confirmation of the mortal minority). "
-                  "Joins the grid-MC checkpoint key (gridmc-v3)");
+                  "Joins the grid-MC checkpoint key");
   flags.addDouble("wire-margin-mpa", &wireMarginMpa,
                   "wire stress margin sigma_C - sigma_T - sigma_pkg [MPa]");
   if (!flags.parse(argc, argv)) return 0;
 
   AnalyzerConfig config;
-  config.gridConfig.gridSolver = parseSpdSolverKind(gridSolver);
-  config.gridConfig.gridOrdering = parseOrderingChoice(gridOrdering);
   config.viaArraySize = viaN;
   config.trials = trials;
   config.characterization.trials = charTrials;
