@@ -4,11 +4,15 @@
 // size:
 //   - the one-time base factorization (supernodal + AMD),
 //   - the per-failure cost (Woodbury update + re-solve) inside a Session,
-//   - end-to-end grid Monte Carlo throughput on the shared base.
+//     measured on a cold column memo (every opened site's column is
+//     solved, none is shared),
+//   - end-to-end grid Monte Carlo throughput on the shared base, with the
+//     bytes the base's column memo ends on and its hit ratio over the run
+//     (memo hits / all Woodbury columns; -1 with obs disabled).
 // It also checks the model's healthy-grid voltages against an up-looking +
 // RCM SparseCholesky oracle solve at the sizes where the banded factor is
-// still tractable, and verifies the Monte Carlo is bit-identical across
-// thread counts.
+// still tractable, verifies the Monte Carlo is bit-identical across
+// thread counts, and that the memo never exceeds its byte budget.
 //
 // --smoke runs the smallest mesh only with reduced trial counts and asserts
 // the parity, determinism and EM-mode gates; tier-1 runs it on every
@@ -30,6 +34,8 @@
 #include "grid/wire_mortality.h"
 #include "numerics/cholesky.h"
 #include "numerics/supernodal_cholesky.h"
+#include "numerics/woodbury.h"
+#include "obs/obs.h"
 
 using namespace viaduct;
 
@@ -45,6 +51,8 @@ struct Point {
   double perFailureSeconds = 0.0;
   int mcTrials = 0;
   double mcSecondsPerTrial = 0.0;
+  std::size_t memoBytes = 0;   // column memo after every run at this size
+  double memoHitRatio = -1.0;  // over the timed Monte Carlo; -1: obs off
   double parityMaxRelDiff = -1.0;  // -1: not measured at this size
   bool deterministicAcrossThreads = true;
   // EM-mode axis (DESIGN.md §5.14): the wire-EM audit is diagnostic-only,
@@ -113,7 +121,9 @@ Point measure(Index targetNodes, int mcTrials, int maxFailures, bool parity,
     p.parityMaxRelDiff = maxRel;
   }
 
-  // Per-failure update cost: open a spread of arrays in one session.
+  // Per-failure update cost: open a spread of arrays in one session. The
+  // model is fresh, so the column memo is cold and every opened site costs
+  // its factored solve, as the first failure of a site does in a trial.
   {
     PowerGridModel::Session session(model);
     const int failures =
@@ -130,10 +140,19 @@ Point measure(Index targetNodes, int mcTrials, int maxFailures, bool parity,
 
   // End-to-end Monte Carlo.
   const GridMcOptions mc = mcOptions(mcTrials, maxFailures);
+  auto& hits = obs::Registry::instance().counter("woodbury.column_memo_hits");
+  auto& misses =
+      obs::Registry::instance().counter("woodbury.column_memo_misses");
+  const std::uint64_t hits0 = hits.value();
+  const std::uint64_t misses0 = misses.value();
   t0 = std::chrono::steady_clock::now();
   const GridMcResult mcResult = runGridMonteCarlo(model, mc);
   p.mcTrials = mcTrials;
   p.mcSecondsPerTrial = seconds(t0) / mcTrials;
+  const double columns =
+      static_cast<double>(hits.value() - hits0 + misses.value() - misses0);
+  if (obs::enabled() && columns > 0.0)
+    p.memoHitRatio = static_cast<double>(hits.value() - hits0) / columns;
 
   // Bit-identity across thread counts (smallest sizes).
   if (threadSweep) {
@@ -171,6 +190,7 @@ Point measure(Index targetNodes, int mcTrials, int maxFailures, bool parity,
       p.emMortalConfigs = result.wireMortalConfigs;
     }
   }
+  p.memoBytes = model.columnMemoBytes();
   return p;
 }
 
@@ -183,6 +203,8 @@ void writePoint(std::ostream& os, const Point& p, bool last) {
      << ", \"per_failure_update_seconds\": " << p.perFailureSeconds
      << ", \"mc_trials\": " << p.mcTrials
      << ", \"mc_seconds_per_trial\": " << p.mcSecondsPerTrial
+     << ", \"column_memo_bytes\": " << p.memoBytes
+     << ", \"column_memo_hit_ratio\": " << p.memoHitRatio
      << ", \"parity_max_rel_diff\": " << p.parityMaxRelDiff
      << ", \"deterministic_across_threads\": "
      << (p.deterministicAcrossThreads ? "true" : "false")
@@ -230,7 +252,8 @@ int main(int argc, char** argv) {
     std::cout << "  n=" << p.nodes << " (" << p.viaArrays
               << " arrays): factor " << p.factorSeconds << " s, nnz(L) "
               << p.factorNnz << ", per-failure " << p.perFailureSeconds
-              << " s, trial " << p.mcSecondsPerTrial << " s";
+              << " s, trial " << p.mcSecondsPerTrial << " s, memo "
+              << p.memoBytes << " B (hit ratio " << p.memoHitRatio << ")";
     if (p.parityMaxRelDiff >= 0.0)
       std::cout << ", parity " << p.parityMaxRelDiff;
     std::cout << "\n";
@@ -242,16 +265,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   os << "{\n  \"smoke\": " << (smoke ? "true" : "false")
-     << ",\n  \"solver\": \"supernodal+amd\",\n  \"points\": [\n";
+     << ",\n  \"solver\": \"supernodal+amd\",\n  \"column_memo_budget_bytes\": "
+     << WoodburyBase::kDefaultColumnMemoBytes << ",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i)
     writePoint(os, points[i], i + 1 == points.size());
   os << "  ]\n}\n";
   std::cout << "wrote " << out << "\n";
 
   // Gates: oracle parity everywhere it was measured, determinism wherever
-  // the thread sweep ran, EM-mode identity wherever that axis ran.
+  // the thread sweep ran, EM-mode identity wherever that axis ran, and the
+  // column memo within its budget at every size.
   bool pass = true;
   for (const Point& p : points) {
+    if (p.memoBytes > WoodburyBase::kDefaultColumnMemoBytes) {
+      std::cerr << "FAIL: column memo holds " << p.memoBytes
+                << " bytes, over its budget, at n=" << p.nodes << "\n";
+      pass = false;
+    }
     if (p.parityMaxRelDiff > 1e-10) {
       std::cerr << "FAIL: supernodal/oracle parity " << p.parityMaxRelDiff
                 << " at n=" << p.nodes << "\n";

@@ -90,7 +90,8 @@ ReducedIndexing buildIndexing(const Netlist& netlist) {
 }  // namespace
 
 PowerGridModel::PowerGridModel(const Netlist& netlist,
-                               const PowerGridConfig& config)
+                               const PowerGridConfig& config,
+                               std::size_t columnMemoBytes)
     : config_(config) {
   VIADUCT_REQUIRE(config.irDropThresholdFraction > 0.0 &&
                   config.irDropThresholdFraction < 1.0);
@@ -153,8 +154,12 @@ PowerGridModel::PowerGridModel(const Netlist& netlist,
   nodeIsKnown_ = idx.known;
   CsrMatrix g = CsrMatrix::fromTriplets(triplets);
   auto factor = buildBaseFactor(g, config_);
-  base_ = std::make_shared<const WoodburyBase>(std::move(g), std::move(factor),
-                                               std::move(rhs));
+  std::vector<std::pair<Index, Index>> siteBranches;
+  siteBranches.reserve(viaArrays_.size());
+  for (const auto& site : viaArrays_) siteBranches.emplace_back(site.a, site.b);
+  base_ = std::make_shared<const WoodburyBase>(
+      std::move(g), std::move(factor), std::move(rhs), siteBranches,
+      columnMemoBytes);
   VIADUCT_DEBUG << "power grid: " << unknownCount_ << " unknowns, "
                 << viaArrays_.size() << " via arrays, Vdd=" << vdd_;
 }

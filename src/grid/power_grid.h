@@ -46,7 +46,11 @@ struct ViaArraySite {
 
 class PowerGridModel {
  public:
-  PowerGridModel(const Netlist& netlist, const PowerGridConfig& config);
+  /// `columnMemoBytes` caps the shared base's memo of via-array Woodbury
+  /// columns (tests shrink it; results do not depend on it).
+  PowerGridModel(
+      const Netlist& netlist, const PowerGridConfig& config,
+      std::size_t columnMemoBytes = WoodburyBase::kDefaultColumnMemoBytes);
   explicit PowerGridModel(const Netlist& netlist)
       : PowerGridModel(netlist, PowerGridConfig{}) {}
 
@@ -128,6 +132,9 @@ class PowerGridModel {
     return {base_, base_->factor.get()};
   }
 
+  /// Bytes of via-array Woodbury columns memoized on the shared base so far.
+  std::size_t columnMemoBytes() const { return base_->memoBytes(); }
+
   /// Stable digest of the full electrical system (reduced conductance
   /// matrix, loads, Vdd, via-array sites). Two models with the same digest
   /// produce the same Monte Carlo trials; used to key checkpoint snapshots
@@ -147,8 +154,8 @@ class PowerGridModel {
   Index unknownCount_ = 0;
   double vdd_ = 0.0;
   /// Healthy reduced system G v = b (b = load + pad injections), its
-  /// factorization and healthy solution, built once and shared read-only
-  /// by every Session.
+  /// factorization, healthy solution and via-array column memo, built once
+  /// and shared by every Session.
   std::shared_ptr<const WoodburyBase> base_;
   std::vector<ViaArraySite> viaArrays_;
   // Netlist-node -> reduced-system mapping (for nodeVoltage()).

@@ -1,6 +1,10 @@
 #include "numerics/woodbury.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <mutex>
+#include <tuple>
 
 #include "common/check.h"
 #include "fault/fault.h"
@@ -8,16 +12,99 @@
 
 namespace viaduct {
 
+namespace {
+
+/// Smallest |accumulated delta| a branch in the update set may carry: the
+/// capacitance matrix holds 1/delta.
+constexpr double kMinBranchDelta = 1e-300;
+
+std::vector<double> incidenceVector(Index n, Index i, Index j) {
+  std::vector<double> a(static_cast<std::size_t>(n), 0.0);
+  if (i >= 0) a[static_cast<std::size_t>(i)] = 1.0;
+  if (j >= 0) a[static_cast<std::size_t>(j)] = -1.0;
+  return a;
+}
+
+/// Canonical key of branch (i, j): the update a·aᵀ with a = e_i − e_j is
+/// symmetric in (i, j), so the pair is sorted and a ground endpoint (−1)
+/// kept in slot j.
+std::pair<Index, Index> canonicalBranch(Index i, Index j) {
+  if (i < 0) std::swap(i, j);
+  if (j >= 0 && i > j) std::swap(i, j);
+  return {i, j};
+}
+
+}  // namespace
+
+/// One memoized column: decided once (filled, or left empty past the
+/// budget) under `once`, then published through `column`.
+struct WoodburyBase::MemoSlot {
+  std::once_flag once;
+  std::vector<double> storage;
+  std::atomic<const std::vector<double>*> column{nullptr};
+};
+
 WoodburyBase::WoodburyBase(CsrMatrix matrixIn,
                            std::unique_ptr<const SupernodalCholesky> factorIn,
-                           std::vector<double> rhsIn)
+                           std::vector<double> rhsIn,
+                           const std::vector<std::pair<Index, Index>>& memoBranches,
+                           std::size_t memoBudgetBytes)
     : matrix(std::move(matrixIn)),
       factor(std::move(factorIn)),
       rhs(std::move(rhsIn)),
-      x0(factor->solve(rhs)) {
+      x0(factor->solve(rhs)),
+      memoBudgetBytes_(memoBudgetBytes) {
   // factor->solve(rhs) has already checked rhs against the factor.
   VIADUCT_REQUIRE(matrix.rows() == matrix.cols() &&
                   factor->size() == matrix.rows());
+  memoKeys_.reserve(memoBranches.size());
+  for (const auto& [i, j] : memoBranches) {
+    VIADUCT_REQUIRE(i != j && (i >= 0 || j >= 0) && i < matrix.rows() &&
+                    j < matrix.rows());
+    memoKeys_.push_back(canonicalBranch(i, j));
+  }
+  std::sort(memoKeys_.begin(), memoKeys_.end());
+  memoKeys_.erase(std::unique(memoKeys_.begin(), memoKeys_.end()),
+                  memoKeys_.end());
+  memoSlots_ = std::make_unique<MemoSlot[]>(memoKeys_.size());
+}
+
+WoodburyBase::~WoodburyBase() = default;
+
+const std::vector<double>* WoodburyBase::memoColumn(Index i, Index j) const {
+  const auto key = std::make_pair(i, j);
+  const auto it = std::lower_bound(memoKeys_.begin(), memoKeys_.end(), key);
+  if (it == memoKeys_.end() || *it != key) return nullptr;
+  MemoSlot& slot = memoSlots_[static_cast<std::size_t>(it - memoKeys_.begin())];
+  if (const auto* z = slot.column.load(std::memory_order_acquire)) {
+    VIADUCT_COUNTER_ADD("woodbury.column_memo_hits", 1);
+    return z;
+  }
+  bool solved = false;
+  std::call_once(slot.once, [&] {
+    const std::size_t bytes =
+        static_cast<std::size_t>(matrix.rows()) * sizeof(double);
+    {
+      // Fills are rare (once per branch): the budget reservation and the
+      // gauge are serialized, so the gauge ends on the memo's final size.
+      std::lock_guard<std::mutex> lock(memoFillMutex_);
+      if (bytes > memoBudgetBytes_ - memoBytes_) return;
+      memoBytes_ += bytes;
+      VIADUCT_GAUGE_SET("woodbury.column_memo_bytes", memoBytes_);
+    }
+    slot.storage = factor->solve(incidenceVector(matrix.rows(), i, j));
+    solved = true;
+    VIADUCT_COUNTER_ADD("woodbury.column_memo_misses", 1);
+    slot.column.store(&slot.storage, std::memory_order_release);
+  });
+  const auto* z = slot.column.load(std::memory_order_acquire);
+  if (z && !solved) VIADUCT_COUNTER_ADD("woodbury.column_memo_hits", 1);
+  return z;
+}
+
+std::size_t WoodburyBase::memoBytes() const {
+  std::lock_guard<std::mutex> lock(memoFillMutex_);
+  return memoBytes_;
 }
 
 namespace {
@@ -97,10 +184,8 @@ const CsrMatrix& WoodburySolver::currentMatrix() const {
 }
 
 std::vector<double> WoodburySolver::incidenceSolve(Index i, Index j) const {
-  std::vector<double> a(static_cast<std::size_t>(size()), 0.0);
-  if (i >= 0) a[i] = 1.0;
-  if (j >= 0) a[j] = -1.0;
-  return activeFactor().solve(a);
+  VIADUCT_COUNTER_ADD("woodbury.column_memo_misses", 1);
+  return activeFactor().solve(incidenceVector(size(), i, j));
 }
 
 void WoodburySolver::foldIntoFactor() {
@@ -113,10 +198,7 @@ void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
   VIADUCT_COUNTER_ADD("woodbury.branch_updates", 1);
   VIADUCT_REQUIRE_MSG(i != j, "branch endpoints must differ");
   VIADUCT_REQUIRE_MSG(i >= 0 || j >= 0, "at least one endpoint must be live");
-  // Canonical key: the update a·aᵀ with a = e_i − e_j is symmetric in
-  // (i, j), so sort the pair and keep a ground endpoint (−1) in slot j.
-  if (i < 0) std::swap(i, j);
-  if (j >= 0 && i > j) std::swap(i, j);
+  std::tie(i, j) = canonicalBranch(i, j);
   VIADUCT_REQUIRE(i >= 0 && i < size() && j < size());
 
   // The accumulated deltas always describe the true updated matrix from
@@ -130,14 +212,25 @@ void WoodburySolver::updateBranch(Index i, Index j, double deltaG) {
     }
     const auto key = std::make_pair(i, j);
     if (const auto it = branchIndex_.find(key); it != branchIndex_.end()) {
-      branches_[it->second].deltaG += deltaG;
-      // A delta that cancels back to (near) zero keeps its column; harmless.
-    } else {
+      const std::size_t at = it->second;
+      branches_[at].deltaG += deltaG;
+      // A delta that cancels back to zero leaves the update set: its
+      // capacitance entry 1/delta would not exist.
+      if (!(std::abs(branches_[at].deltaG) > kMinBranchDelta)) {
+        branches_.erase(branches_.begin() + static_cast<std::ptrdiff_t>(at));
+        branchIndex_.erase(it);
+        for (auto& entry : branchIndex_)
+          if (entry.second > at) --entry.second;
+      }
+    } else if (std::abs(deltaG) > kMinBranchDelta) {
       Branch b;
       b.i = i;
       b.j = j;
       b.deltaG = deltaG;
-      b.z = incidenceSolve(i, j);
+      // The base's memo holds columns of the base factor only; after a
+      // rebase every column is solved on the private factor.
+      if (!privateFactor_) b.memoZ = base_->memoColumn(i, j);
+      if (!b.memoZ) b.ownZ = incidenceSolve(i, j);
       branchIndex_.emplace(key, branches_.size());
       branches_.push_back(std::move(b));
     }
@@ -183,13 +276,14 @@ std::vector<double> WoodburySolver::solve() const {
   // Capacitance matrix C = D⁻¹ + Uᵀ Z, with (Uᵀ Z)[m][l] = aₘᵀ z_l.
   DenseMatrix c(k, k);
   for (std::size_t m = 0; m < k; ++m) {
-    VIADUCT_CHECK_MSG(std::abs(branches_[m].deltaG) > 1e-300,
+    VIADUCT_CHECK_MSG(std::abs(branches_[m].deltaG) > kMinBranchDelta,
                       "zero-delta branch in update set");
     for (std::size_t l = 0; l < k; ++l) {
       const Branch& bm = branches_[m];
       const Branch& bl = branches_[l];
-      double utz = bl.z[bm.i];
-      if (bm.j >= 0) utz -= bl.z[bm.j];
+      const std::vector<double>& zl = bl.z();
+      double utz = zl[bm.i];
+      if (bm.j >= 0) utz -= zl[bm.j];
       c(m, l) = utz;
     }
     c(m, m) += 1.0 / branches_[m].deltaG;
@@ -208,7 +302,7 @@ std::vector<double> WoodburySolver::solve() const {
   for (std::size_t m = 0; m < k; ++m) {
     const double ym = y[m];
     if (ym == 0.0) continue;
-    const auto& z = branches_[m].z;
+    const std::vector<double>& z = branches_[m].z();
     for (std::size_t r = 0; r < x.size(); ++r) x[r] -= z[r] * ym;
   }
   return x;

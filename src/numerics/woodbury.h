@@ -8,23 +8,31 @@
 // conductance deltas),
 //   G⁻¹ b = x0 − Z (D⁻¹ + Uᵀ Z)⁻¹ Uᵀ x0,   Z = G0⁻¹ U,   x0 = G0⁻¹ b.
 // The right-hand side is fixed, so x0 is solved once, next to the base
-// factorization, and shared: each *new* failed branch costs one factored
-// solve (to extend Z) and each voltage evaluation only a dense k×k solve
+// factorization, and shared. A column z = G0⁻¹ a of Z depends only on the
+// base and the branch, so the base also memoizes the columns of the
+// branches it was told about (the grid's via-array sites): the first
+// failure of such a branch in any solver costs one factored solve, every
+// later one a pointer copy. Each voltage evaluation costs a dense k×k solve
 // plus the O(n·k) correction, with no triangular solve at all, where k is
 // the number of distinct changed branches so far. When k exceeds
 // `rebaseThreshold`, the updates are folded into G0: the matrix is
 // re-factored numerically into a private factor (symbolic analysis reused)
-// and x0 is re-solved once on it.
+// and x0 is re-solved once on it; from then on that solver solves its own
+// columns on the private factor.
 //
-// The base (G0, its factorization, b and x0) is an immutable WoodburyBase
-// built once, e.g. per PowerGridModel, and shared read-only by every
-// solver on every thread. Adopting it is O(1); a solver never touches it,
-// promoting to a private factor only when it has to rebase.
+// The base (G0, its factorization, b, x0 and the column memo) is an
+// immutable WoodburyBase built once, e.g. per PowerGridModel, and shared
+// read-only by every solver on every thread. Adopting it is O(1); a solver
+// never touches it, promoting to a private factor only when it has to
+// rebase.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "fault/policy.h"
@@ -36,15 +44,44 @@ namespace viaduct {
 
 /// The fixed system G0 x0 = b a WoodburySolver starts from.
 struct WoodburyBase {
+  /// Default byte budget of the column memo.
+  static constexpr std::size_t kDefaultColumnMemoBytes = std::size_t{64} << 20;
+
   /// Adopts `factor`, a factorization of `matrix`, and solves x0 once.
+  /// `memoBranches` lists the branches (i, j) whose columns G0⁻¹(e_i − e_j)
+  /// are memoized, in any endpoint order (−1 for ground); the memo holds
+  /// at most `memoBudgetBytes` of columns, and a branch past the budget is
+  /// solved by each solver that changes it.
   WoodburyBase(CsrMatrix matrix,
                std::unique_ptr<const SupernodalCholesky> factor,
-               std::vector<double> rhs);
+               std::vector<double> rhs,
+               const std::vector<std::pair<Index, Index>>& memoBranches = {},
+               std::size_t memoBudgetBytes = kDefaultColumnMemoBytes);
+  ~WoodburyBase();
 
   const CsrMatrix matrix;
   const std::unique_ptr<const SupernodalCholesky> factor;
   const std::vector<double> rhs;
   const std::vector<double> x0;  // factor->solve(rhs)
+
+  /// The memoized column G0⁻¹(e_i − e_j) of branch (i, j) in canonical
+  /// order (i < j, or j = −1 for ground), solved on first touch with
+  /// factor->solve and immutable afterwards. Null when the branch has no
+  /// memo slot or the byte budget was spent before its first touch.
+  /// Thread-safe; once a slot is filled, a touch takes no lock.
+  const std::vector<double>* memoColumn(Index i, Index j) const;
+
+  /// Bytes of memoized columns so far (never above the budget).
+  std::size_t memoBytes() const;
+
+ private:
+  struct MemoSlot;
+
+  std::vector<std::pair<Index, Index>> memoKeys_;  // sorted, canonical
+  std::unique_ptr<MemoSlot[]> memoSlots_;          // one per key
+  const std::size_t memoBudgetBytes_;
+  mutable std::mutex memoFillMutex_;  // guards memoBytes_
+  mutable std::size_t memoBytes_ = 0;
 };
 
 class WoodburySolver {
@@ -105,8 +142,13 @@ class WoodburySolver {
   struct Branch {
     Index i;
     Index j;
-    double deltaG;           // accumulated conductance change
-    std::vector<double> z;   // G0⁻¹ a, a = e_i − e_j
+    double deltaG;  // accumulated conductance change
+    /// G0⁻¹ a, a = e_i − e_j (G0 the active factor's matrix when the
+    /// branch entered the update set): the base's memoized column, or
+    /// `ownZ` when the branch has none.
+    const std::vector<double>* memoZ = nullptr;
+    std::vector<double> ownZ;
+    const std::vector<double>& z() const { return memoZ ? *memoZ : ownZ; }
   };
 
   /// The factor and base solution solves start from: the private pair

@@ -2,13 +2,16 @@
 // immutable base factorization and base solution behind every Session,
 // session and Monte Carlo parity with an up-looking SparseCholesky oracle
 // of the session's current matrix, thread-count bit-identity of the grid
-// Monte Carlo, and the grid.base_factor / cholesky.supernodal_factor fault
-// sites.
+// Monte Carlo, the shared memo of via-array Woodbury columns (cold, warm,
+// disabled, concurrent first touch, isolation from rebased sessions), and
+// the grid.base_factor / cholesky.supernodal_factor fault sites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -20,6 +23,7 @@
 #include "grid/power_grid.h"
 #include "numerics/cholesky.h"
 #include "numerics/supernodal_cholesky.h"
+#include "obs/obs.h"
 
 namespace viaduct {
 namespace {
@@ -277,6 +281,105 @@ TEST_F(GridSharedBaseTest, GridMcSamplesUnchangedBySharedBase) {
   ASSERT_EQ(mc.ttfSamples.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i)
     EXPECT_NEAR(mc.ttfSamples[i], ref[i], 1e-10 * ref[i]) << "trial " << i;
+}
+
+GridMcOptions memoMcOptions(int threads) {
+  GridMcOptions opts;
+  opts.arrayTtf = Lognormal::fromMedian(8.0 * units::year, 0.4);
+  opts.referenceCurrentAmps = 0.01;
+  opts.trials = 24;
+  opts.seed = 13;
+  opts.maxFailuresPerTrial = 6;
+  opts.parallelism.threads = threads;
+  return opts;
+}
+
+TEST_F(GridSharedBaseTest, GridMcBitIdenticalWithColdWarmAndDisabledMemo) {
+  // Every memoized column is the same serial solve a session would run,
+  // so the samples do not depend on whether the memo is cold, warm or
+  // disabled, at any thread count.
+  const Netlist net = tunedMesh(smallSpec());
+  const auto reference =
+      runGridMonteCarlo(PowerGridModel(net, {}, 0), memoMcOptions(1));
+  ASSERT_EQ(reference.ttfSamples.size(), 24u);
+  for (const int threads : {1, 4, 8}) {
+    const GridMcOptions opts = memoMcOptions(threads);
+    const PowerGridModel model(net);
+    const auto cold = runGridMonteCarlo(model, opts);
+    const std::size_t coldBytes = model.columnMemoBytes();
+    EXPECT_GT(coldBytes, 0u);
+    const auto warm = runGridMonteCarlo(model, opts);
+    EXPECT_EQ(model.columnMemoBytes(), coldBytes);  // nothing new to fill
+    const PowerGridModel noMemo(net, {}, 0);
+    const auto disabled = runGridMonteCarlo(noMemo, opts);
+    EXPECT_EQ(noMemo.columnMemoBytes(), 0u);
+    EXPECT_EQ(cold.ttfSamples, reference.ttfSamples) << threads << " threads";
+    EXPECT_EQ(warm.ttfSamples, reference.ttfSamples) << threads << " threads";
+    EXPECT_EQ(disabled.ttfSamples, reference.ttfSamples)
+        << threads << " threads";
+  }
+}
+
+TEST_F(GridSharedBaseTest, ConcurrentFirstTouchOfOneSite) {
+  // Many sessions open the same cold site at once: one fills its column,
+  // the rest share it, and every session sees the same bits as a session
+  // on a model without a memo.
+  const Netlist net = tunedMesh(smallSpec());
+  const PowerGridModel model(net);
+  const PowerGridModel noMemo(net, {}, 0);
+  constexpr int kSite = 37;
+  PowerGridModel::Session plain(noMemo);
+  plain.openArray(kSite);
+  const std::vector<double> expected = plain.solve().voltages;
+
+  auto& hits = obs::Registry::instance().counter("woodbury.column_memo_hits");
+  auto& misses =
+      obs::Registry::instance().counter("woodbury.column_memo_misses");
+  const std::uint64_t hits0 = hits.value();
+  const std::uint64_t misses0 = misses.value();
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::vector<double>> voltages(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PowerGridModel::Session session(model);
+      start.arrive_and_wait();
+      session.openArray(kSite);
+      voltages[static_cast<std::size_t>(t)] = session.solve().voltages;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& v : voltages) EXPECT_EQ(v, expected);
+  if (obs::enabled()) {
+    EXPECT_EQ(misses.value() - misses0, 1u);
+    EXPECT_EQ(hits.value() - hits0, kThreads - 1u);
+  }
+  EXPECT_EQ(model.columnMemoBytes(),
+            static_cast<std::size_t>(model.unknownCount()) * sizeof(double));
+}
+
+TEST_F(GridSharedBaseTest, RebasedSessionIgnoresTheMemo) {
+  // A session that rebased onto its private factor must solve its own
+  // columns: the memoized column of a site belongs to the base matrix,
+  // not to the session's.
+  const PowerGridModel model(tunedMesh(smallSpec()));
+  constexpr int kSite = 58;
+  {
+    PowerGridModel::Session warmUp(model);
+    warmUp.openArray(kSite);
+    ASSERT_TRUE(warmUp.solve().solverOk);
+  }
+  ASSERT_GT(model.columnMemoBytes(), 0u);
+  PowerGridModel::Session session(model);
+  session.openArray(3);
+  session.degradeArray(41, 5.0);
+  fault::Registry::instance().arm("woodbury.solve", {.nth = 1});
+  ASSERT_EQ(session.solve().pendingUpdates, 0);  // forced rebase
+  session.openArray(kSite);
+  const auto sol = session.solve();
+  EXPECT_EQ(sol.pendingUpdates, 1);
+  expectMatchesOracle(model, session, sol, 1e-10, 1);
 }
 
 TEST_F(GridSharedBaseTest, BaseFactorFaultFallsBackDownTheLadder) {

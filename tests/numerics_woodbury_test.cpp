@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "numerics/cholesky.h"
+#include "numerics/supernodal_cholesky.h"
 
 namespace viaduct {
 namespace {
@@ -155,6 +156,109 @@ TEST(WoodburySolver, RejectsStructurallyAbsentBranch) {
   WoodburySolver w(g, std::vector<double>(9, 1.0));
   // Nodes 0 and 8 are opposite corners: no direct branch entry.
   EXPECT_THROW(w.updateBranch(0, 8, -0.1), PreconditionError);
+}
+
+TEST(WoodburySolver, CancelledDeltaLeavesTheUpdateSet) {
+  // A branch whose accumulated delta cancels to exactly zero drops out of
+  // the update set instead of reaching the capacitance matrix as 1/0.
+  const CsrMatrix g = gridConductance(6, 6);
+  Rng rng(67);
+  std::vector<double> b(36);
+  for (auto& v : b) v = rng.uniform(0.0, 1.0);
+  WoodburySolver w(g, b);
+  const std::vector<double> x0 = w.solve();
+  w.updateBranch(0, 1, 0.5);
+  w.updateBranch(1, 0, -0.5);
+  EXPECT_EQ(w.pendingUpdateCount(), 0);
+  EXPECT_EQ(w.solve(), x0);
+
+  // Cancelling one of several branches keeps the survivors exact.
+  w.updateBranch(7, 13, -0.6);
+  w.updateBranch(20, 21, 0.25);
+  w.updateBranch(14, 15, -0.3);
+  w.updateBranch(20, 21, -0.25);
+  EXPECT_EQ(w.pendingUpdateCount(), 2);
+  const auto x = w.solve();
+  const auto ref = referenceSolve(w.currentMatrix(), b);
+  for (std::size_t k = 0; k < 36; ++k) EXPECT_NEAR(x[k], ref[k], 1e-10);
+
+  // A zero delta on a new branch never enters the set either.
+  w.updateBranch(2, 3, 0.0);
+  EXPECT_EQ(w.pendingUpdateCount(), 2);
+  EXPECT_EQ(w.solve(), x);
+}
+
+std::shared_ptr<const WoodburyBase> memoBase(
+    const CsrMatrix& g, const std::vector<double>& b,
+    const std::vector<std::pair<Index, Index>>& branches,
+    std::size_t budgetBytes) {
+  return std::make_shared<const WoodburyBase>(
+      g, std::make_unique<const SupernodalCholesky>(g), b, branches,
+      budgetBytes);
+}
+
+TEST(WoodburyColumnMemo, ColumnsAreTheBaseFactorSolves) {
+  const CsrMatrix g = gridConductance(6, 6);
+  const std::vector<double> b(36, 1.0);
+  const auto base = memoBase(g, b, {{4, 3}, {9, -1}}, 1 << 20);
+  EXPECT_EQ(base->memoBytes(), 0u);
+  // Slots are keyed canonically; an unlisted branch has none.
+  EXPECT_EQ(base->memoColumn(0, 1), nullptr);
+  const std::vector<double>* z = base->memoColumn(3, 4);
+  ASSERT_NE(z, nullptr);
+  std::vector<double> a(36, 0.0);
+  a[3] = 1.0;
+  a[4] = -1.0;
+  EXPECT_EQ(*z, base->factor->solve(a));
+  EXPECT_EQ(base->memoColumn(3, 4), z);  // filled once, then shared
+  EXPECT_EQ(base->memoBytes(), 36 * sizeof(double));
+  ASSERT_NE(base->memoColumn(9, -1), nullptr);
+  EXPECT_EQ(base->memoBytes(), 2 * 36 * sizeof(double));
+}
+
+TEST(WoodburyColumnMemo, BudgetCapsTheMemoAndSolvesStayBitIdentical) {
+  // Solvers on a memoized base, a one-column base and an empty base give
+  // the same bits: every column is the same serial factored solve.
+  const CsrMatrix g = gridConductance(8, 8);
+  Rng rng(71);
+  std::vector<double> b(64);
+  for (auto& v : b) v = rng.uniform(0.0, 1.0);
+  const std::vector<std::pair<Index, Index>> branches = {
+      {0, 1}, {9, 10}, {20, 28}, {45, 46}, {17, 25}};
+  const std::size_t column = 64 * sizeof(double);
+  std::vector<std::vector<double>> results;
+  for (const std::size_t budget :
+       {std::size_t{1} << 20, column + column / 2, std::size_t{0}}) {
+    const auto base = memoBase(g, b, branches, budget);
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then warm memo
+      WoodburySolver w(base);
+      for (const auto& [i, j] : branches) w.updateBranch(j, i, -0.9);
+      results.push_back(w.solve());
+    }
+    EXPECT_LE(base->memoBytes(), budget);
+    EXPECT_EQ(base->memoBytes(),
+              std::min(budget / column, branches.size()) * column);
+  }
+  for (const auto& x : results) EXPECT_EQ(x, results.front());
+  WoodburySolver plain(g, b);
+  for (const auto& [i, j] : branches) plain.updateBranch(i, j, -0.9);
+  EXPECT_EQ(plain.solve(), results.front());
+}
+
+TEST(WoodburyColumnMemo, RebasedSolverSolvesItsOwnColumns) {
+  // After a rebase the memo's base columns no longer describe the
+  // solver's matrix: a memoized branch is solved on the private factor.
+  const CsrMatrix g = gridConductance(6, 6);
+  const std::vector<double> b(36, 1.0);
+  const auto base = memoBase(g, b, {{14, 15}}, 1 << 20);
+  ASSERT_NE(base->memoColumn(14, 15), nullptr);  // warm the memo
+  WoodburySolver w(base);
+  w.updateBranch(2, 3, -0.8);
+  w.rebase();
+  w.updateBranch(14, 15, -0.9);
+  const auto x = w.solve();
+  const auto ref = referenceSolve(w.currentMatrix(), b);
+  for (std::size_t k = 0; k < 36; ++k) EXPECT_NEAR(x[k], ref[k], 1e-10);
 }
 
 class WoodburyFailureSweep : public ::testing::TestWithParam<int> {};

@@ -7,78 +7,96 @@
 #   4. a thread-sanitized build running the tsan-labelled set (includes the
 #      fault and checkpoint tests — the registry's decision streams and the
 #      trial recorder are TSan bait);
-#   5. an uninjected CLI smoke run that must complete WARN-free: with no
+#   5. address- and undefined-behavior-sanitized builds running the same
+#      tsan-labelled set (heap misuse in the shared caches and pools,
+#      UB in the numeric kernels; UBSan halts on its first report);
+#   6. an uninjected CLI smoke run that must complete WARN-free: with no
 #      site armed, no recovery path may fire and nothing may warn. The run
 #      checkpoints, is re-run with --resume, and both must agree;
-#   6. the perf_viaarray A/B smoke: the incremental network solver and the
+#   7. the perf_viaarray A/B smoke: the incremental network solver and the
 #      legacy exact path must agree step-by-step and across a full level-1
 #      characterization (exit is nonzero on mismatch, never on timing);
-#   7. the perf_grid_scale smoke: the level-2 supernodal engine on a
+#   8. the perf_grid_scale smoke: the level-2 supernodal engine on a
 #      ~1e4-node synthetic mesh — records the base factor, per-failure and
 #      per-trial costs, asserts voltage parity with an up-looking Cholesky
 #      oracle solve, thread-count and EM-mode bit-identity (exit is nonzero
 #      on any miss, never on timing);
-#   8. the perf_obs_export smoke: grid MC with live telemetry fully on
+#   9. the perf_obs_export smoke: grid MC with live telemetry fully on
 #      (registry + JSONL sampler + HTTP listener + a scraper thread) must
 #      stay within the telemetry overhead budget and keep ttfSamples
 #      bit-identical vs. obs-off across thread counts (BENCH_obs_export.json);
-#   9. the perf_fea_mg smoke: records the multigrid FEA solve time and CG
+#  10. the perf_fea_mg smoke: records the multigrid FEA solve time and CG
 #      iteration count, and gates on the warm primitive store (zero FEA
 #      solves, bit-identical stress) (BENCH_fea_mg.json);
-#  10. a CLI warm-store smoke: two characterize runs sharing a
+#  11. a CLI warm-store smoke: two characterize runs sharing a
 #      --primitive-store file — the second must report zero FEA solves in
 #      its --metrics-out snapshot and print identical TTF percentiles;
-#  11. the perf_serve smoke: in-process serving-layer gates — concurrent
+#  12. the perf_serve smoke: in-process serving-layer gates — concurrent
 #      duplicate dedup (one execution, one FEA solve), admission-control
 #      shedding, slow/malformed-client robustness, lossless drain
 #      (BENCH_serve.json);
-#  12. a serve daemon smoke: viaduct_server on an ephemeral port, a burst
+#  13. a serve daemon smoke: viaduct_server on an ephemeral port, a burst
 #      of concurrent IDENTICAL characterize requests (held overlapping via
 #      the debug execute-delay hook) must trigger exactly ONE FEA-solve
 #      burst, and SIGTERM must drain to a clean exit 0 whose --metrics-out
 #      snapshot proves the dedup (serve.executed == 1);
-#  13. the perf_em_steady smoke: steady-state vs transient wire-EM audit on
+#  14. the perf_em_steady smoke: steady-state vs transient wire-EM audit on
 #      a ~1e4-node mesh — closed-form/marched parity <= 1e-8 on the fig6/
 #      fig7 line geometries, verdict + sample bit-identity across EM modes,
 #      and a floor on the steady-vs-transient per-trial speedup
 #      (BENCH_em_steady.json; the >= 5x floor applies to the full run).
 #
-# Usage: tools/run_tier1.sh [--skip-tsan]
+# Usage: tools/run_tier1.sh [--skip-tsan] [--skip-asan-ubsan]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SKIP_TSAN=0
+SKIP_ASAN_UBSAN=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) SKIP_TSAN=1 ;;
+    --skip-asan-ubsan) SKIP_ASAN_UBSAN=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "=== [1/13] tier-1: configure + build + full test suite ==="
+echo "=== [1/14] tier-1: configure + build + full test suite ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [2/13] fault label: recovery-path tests ==="
+echo "=== [2/14] fault label: recovery-path tests ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" -L fault
 
-echo "=== [3/13] checkpoint label: crash-safety and resume tests ==="
+echo "=== [3/14] checkpoint label: crash-safety and resume tests ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" -L checkpoint
 
 if [[ "$SKIP_TSAN" -eq 1 ]]; then
-  echo "=== [4/13] tsan sweep skipped (--skip-tsan) ==="
+  echo "=== [4/14] tsan sweep skipped (--skip-tsan) ==="
 else
-  echo "=== [4/13] thread-sanitized build: tsan label ==="
+  echo "=== [4/14] thread-sanitized build: tsan label ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVIADUCT_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L tsan
 fi
 
-echo "=== [5/13] uninjected CLI smoke run must be WARN-free ==="
+if [[ "$SKIP_ASAN_UBSAN" -eq 1 ]]; then
+  echo "=== [5/14] asan + ubsan sweeps skipped (--skip-asan-ubsan) ==="
+else
+  for SAN in address undefined; do
+    echo "=== [5/14] ${SAN}-sanitized build: tsan label ==="
+    cmake -B "build-$SAN" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DVIADUCT_SANITIZE="$SAN"
+    cmake --build "build-$SAN" -j "$JOBS"
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      ctest --test-dir "build-$SAN" --output-on-failure -j "$JOBS" -L tsan
+  done
+fi
+
+echo "=== [6/14] uninjected CLI smoke run must be WARN-free ==="
 SMOKE_LOG="$(mktemp)"
 SMOKE_CKPT="$(mktemp -u).ckpt"
 trap 'rm -f "$SMOKE_LOG" "$SMOKE_CKPT"* ' EXIT
@@ -103,31 +121,31 @@ if grep -E "\[viaduct (WARN|ERROR)" "$SMOKE_LOG"; then
 fi
 echo "smoke run clean (no WARN/ERROR lines, resume exact)"
 
-echo "=== [6/13] perf_viaarray: incremental vs exact solver A/B smoke ==="
+echo "=== [7/14] perf_viaarray: incremental vs exact solver A/B smoke ==="
 # Benchmark registrations are skipped (filter matches nothing); the manual
 # A/B cross-check and BENCH_viaarray.json still run. Exit is nonzero only
 # if the two solver paths disagree.
 (cd build/bench && ./perf_viaarray --benchmark_filter='^$')
 
-echo "=== [7/13] perf_grid_scale: level-2 engine smoke ==="
+echo "=== [8/14] perf_grid_scale: level-2 engine smoke ==="
 # Oracle-parity and determinism gates on the smallest mesh; the full
 # 1e4 -> 2e6 sweep is the same binary without --smoke.
 (cd build/bench && ./perf_grid_scale --smoke)
 
-echo "=== [8/13] perf_obs_export: live-telemetry overhead + bit-identity ==="
+echo "=== [9/14] perf_obs_export: live-telemetry overhead + bit-identity ==="
 # Grid MC with the registry, JSONL sampler, HTTP listener, and a live
 # scraper all running must stay within the overhead budget and produce
 # bit-identical samples vs. obs-off across thread counts.
 (cd build/bench && ./perf_obs_export --smoke)
 
-echo "=== [9/13] perf_fea_mg: multigrid FEA solve + warm-store smoke ==="
+echo "=== [10/14] perf_fea_mg: multigrid FEA solve + warm-store smoke ==="
 # Records the multigrid solve on a reduced problem and gates on the
 # warm-primitive-store zero-solve and bit-identity checks; the full
 # fig7-size record is the same binary without --smoke (CI uploads its
 # BENCH_fea_mg.json).
 (cd build/bench && ./perf_fea_mg --smoke)
 
-echo "=== [10/13] CLI warm-store smoke: second run must skip all FEA ==="
+echo "=== [11/14] CLI warm-store smoke: second run must skip all FEA ==="
 STORE_FILE="$(mktemp -u).primitives"
 COLD_OUT="$(mktemp)"
 WARM_OUT="$(mktemp)"
@@ -151,14 +169,14 @@ if solves != 0 or hits < 1:
 print(f"warm store clean: 0 FEA solves, {hits} primitive hit(s)")
 EOF
 
-echo "=== [11/13] perf_serve: serving-layer dedup/admission/drain smoke ==="
+echo "=== [12/14] perf_serve: serving-layer dedup/admission/drain smoke ==="
 # In-process gates: N concurrent identical characterize requests collapse
 # to ONE execution and ONE FEA solve; the queue limit sheds load with 429;
 # malformed/slow clients get 400/413/408; drain loses no in-flight
 # response (exit is nonzero on any gate miss; writes BENCH_serve.json).
 (cd build/bench && ./perf_serve --smoke)
 
-echo "=== [12/13] serve daemon smoke: dedup burst + clean SIGTERM drain ==="
+echo "=== [13/14] serve daemon smoke: dedup burst + clean SIGTERM drain ==="
 SERVE_LOG="$(mktemp)"
 SERVE_METRICS="$(mktemp)"
 trap 'rm -f "$SMOKE_LOG" "$SMOKE_CKPT"* "$STORE_FILE" "$COLD_OUT" \
@@ -228,7 +246,7 @@ if deduped < 1:
 print(f"drain snapshot clean: 1 FEA-solve burst, {deduped} deduped join(s)")
 EOF
 
-echo "=== [13/13] perf_em_steady: steady-state wire-EM parity + speedup ==="
+echo "=== [14/14] perf_em_steady: steady-state wire-EM parity + speedup ==="
 # Closed-form steady-state audit vs the marched transient reference on the
 # paper line geometries (parity <= 1e-8), EM-mode verdict identity, and
 # MC sample bit-identity with the audit on; the full run with the >= 5x
