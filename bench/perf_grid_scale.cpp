@@ -10,9 +10,10 @@
 //     bytes the base's column memo ends on and its hit ratio over the run
 //     (memo hits / all Woodbury columns; -1 with obs disabled).
 // It also checks the model's healthy-grid voltages against an up-looking +
-// RCM SparseCholesky oracle solve at the sizes where the banded factor is
-// still tractable, verifies the Monte Carlo is bit-identical across
-// thread counts, and that the memo never exceeds its byte budget.
+// RCM SparseCholesky oracle solve (tests/support/cholesky.h) at the sizes
+// where the banded factor is still tractable, verifies the Monte Carlo is
+// bit-identical across thread counts, and that the memo never exceeds its
+// byte budget.
 //
 // --smoke runs the smallest mesh only with reduced trial counts and asserts
 // the parity, determinism and EM-mode gates; tier-1 runs it on every
@@ -32,10 +33,10 @@
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
 #include "grid/wire_mortality.h"
-#include "numerics/cholesky.h"
 #include "numerics/supernodal_cholesky.h"
 #include "numerics/woodbury.h"
 #include "obs/obs.h"
+#include "support/cholesky.h"
 
 using namespace viaduct;
 

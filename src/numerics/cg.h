@@ -20,22 +20,6 @@ class LinearOperator {
   virtual void apply(std::span<const double> x, std::span<double> y) const = 0;
 };
 
-/// Adapts a CsrMatrix to the LinearOperator interface. With a pool the
-/// product is row-partitioned (bit-identical to serial for any pool size).
-class CsrOperator final : public LinearOperator {
- public:
-  explicit CsrOperator(const CsrMatrix& a, ThreadPool* pool = nullptr)
-      : a_(a), pool_(pool) {}
-  Index size() const override { return a_.rows(); }
-  void apply(std::span<const double> x, std::span<double> y) const override {
-    a_.multiply(x, y, pool_);
-  }
-
- private:
-  const CsrMatrix& a_;
-  ThreadPool* pool_ = nullptr;
-};
-
 struct CgOptions {
   /// Relative residual target: stop when ||r|| <= tol * ||b||.
   double relativeTolerance = 1e-9;
@@ -46,10 +30,10 @@ struct CgOptions {
   /// result reports converged = false and the best iterate is returned.
   bool throwOnStall = true;
   /// Optional pool for the axpy/dot/update kernels (the operator and the
-  /// preconditioner parallelize themselves). nullptr keeps the legacy
-  /// serial kernels bit-for-bit; a non-null pool switches to fixed-chunk
-  /// reductions whose results are bit-identical for EVERY pool size
-  /// (including 1), which is what makes threaded FEA deterministic.
+  /// preconditioner parallelize themselves). Reductions always sum in
+  /// fixed kVectorOpGrain chunks, so the iterate sequence is bit-identical
+  /// for every pool size, nullptr (serial) included — which is what makes
+  /// threaded FEA deterministic.
   ThreadPool* pool = nullptr;
 };
 
@@ -64,15 +48,5 @@ struct CgResult {
 CgResult conjugateGradient(const LinearOperator& a, std::span<const double> b,
                            std::span<double> x, const Preconditioner& m,
                            const CgOptions& options = {});
-
-/// CsrMatrix convenience overload.
-CgResult conjugateGradient(const CsrMatrix& a, std::span<const double> b,
-                           std::span<double> x, const Preconditioner& m,
-                           const CgOptions& options = {});
-
-/// Convenience overload: zero initial guess, Jacobi preconditioner.
-std::vector<double> solveCgJacobi(const CsrMatrix& a,
-                                  std::span<const double> b,
-                                  const CgOptions& options = {});
 
 }  // namespace viaduct

@@ -18,12 +18,10 @@ struct Ordering {
   bool isValid() const;
 };
 
-/// Fill-reducing ordering selection shared by the sparse SPD
-/// factorizations (SparseCholesky, SupernodalCholesky). kAmd is the only
-/// choice that stays practical at million-node meshes and orders the grid
-/// model's factor; kRcm is SparseCholesky's default because its banded
-/// factors favor the up-looking solver.
-enum class OrderingChoice { kNatural, kRcm, kMinimumDegree, kAmd };
+/// Fill-reducing ordering of the supernodal factorization. kAmd orders the
+/// grid model's factor; kRcm is the rung the base factorization retries
+/// with when the AMD factor fails (grid/power_grid.cpp).
+enum class OrderingChoice { kRcm, kAmd };
 
 /// Builds the ordering named by `choice` for the symmetric structure of `a`.
 Ordering makeOrdering(const CsrMatrix& a, OrderingChoice choice);
@@ -31,12 +29,6 @@ Ordering makeOrdering(const CsrMatrix& a, OrderingChoice choice);
 /// Reverse Cuthill–McKee on the symmetric structure of `a` (structure of
 /// A + Aᵀ is assumed symmetric, which holds for all viaduct systems).
 Ordering reverseCuthillMcKee(const CsrMatrix& a);
-
-/// Greedy minimum-degree ordering (quotient-graph elimination with clique
-/// formation). Usually beats RCM on fill for irregular graphs; RCM remains
-/// the default because the mesh-like viaduct systems favor its banded
-/// factors and its cost is strictly linear.
-Ordering minimumDegree(const CsrMatrix& a);
 
 /// Approximate minimum degree (Amestoy–Davis–Duff style). Quotient-graph
 /// elimination with element absorption and the approximate external-degree

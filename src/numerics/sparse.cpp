@@ -38,35 +38,6 @@ void TripletMatrix::reserve(std::size_t n) {
   vals_.reserve(n);
 }
 
-CsrMatrix CsrMatrix::fromCsrArrays(Index rows, Index cols,
-                                   std::vector<Index> rowPointers,
-                                   std::vector<Index> colIndices,
-                                   std::vector<double> values) {
-  VIADUCT_REQUIRE(rows >= 0 && cols >= 0);
-  VIADUCT_REQUIRE(rowPointers.size() == static_cast<std::size_t>(rows) + 1);
-  VIADUCT_REQUIRE(rowPointers.front() == 0 &&
-                  static_cast<std::size_t>(rowPointers.back()) ==
-                      colIndices.size() &&
-                  colIndices.size() == values.size());
-  for (Index r = 0; r < rows; ++r) {
-    const Index begin = rowPointers[static_cast<std::size_t>(r)];
-    const Index end = rowPointers[static_cast<std::size_t>(r) + 1];
-    VIADUCT_REQUIRE(begin <= end);
-    for (Index k = begin; k < end; ++k) {
-      const Index c = colIndices[static_cast<std::size_t>(k)];
-      VIADUCT_REQUIRE(c >= 0 && c < cols);
-      VIADUCT_REQUIRE(k == begin || colIndices[static_cast<std::size_t>(k) - 1] < c);
-    }
-  }
-  CsrMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.rowPtr_ = std::move(rowPointers);
-  m.colIdx_ = std::move(colIndices);
-  m.values_ = std::move(values);
-  return m;
-}
-
 CsrMatrix CsrMatrix::fromTriplets(const TripletMatrix& t) {
   CsrMatrix m;
   m.rows_ = t.rows();
@@ -193,76 +164,6 @@ bool CsrMatrix::isSymmetric(double tol) const {
   return true;
 }
 
-CscLowerMatrix CscLowerMatrix::fromSymmetricTriplets(const TripletMatrix& t) {
-  VIADUCT_REQUIRE(t.rows() == t.cols());
-  // The input triplets describe the FULL symmetric matrix (both triangles
-  // stamped, as stampConductance does). We keep the lower triangle and
-  // compress it column-wise by compressing the transposed triplets row-wise.
-  TripletMatrix lower(t.rows(), t.cols());
-  const auto ri = t.rowIndices();
-  const auto ci = t.colIndices();
-  const auto va = t.values();
-  for (std::size_t k = 0; k < ri.size(); ++k) {
-    if (ri[k] < ci[k]) continue;            // drop strict upper triangle
-    lower.add(ci[k], ri[k], va[k]);         // store transposed
-  }
-  const CsrMatrix byCol = CsrMatrix::fromTriplets(lower);
-  CscLowerMatrix m;
-  m.n_ = t.rows();
-  m.colPtr_.assign(byCol.rowPointers().begin(), byCol.rowPointers().end());
-  m.rowIdx_.assign(byCol.colIndices().begin(), byCol.colIndices().end());
-  m.values_.assign(byCol.values().begin(), byCol.values().end());
-  return m;
-}
-
-CscLowerMatrix CscLowerMatrix::fromCsr(const CsrMatrix& a) {
-  VIADUCT_REQUIRE(a.rows() == a.cols());
-  TripletMatrix t(a.rows(), a.cols());
-  const auto rp = a.rowPointers();
-  const auto ci = a.colIndices();
-  const auto va = a.values();
-  for (Index r = 0; r < a.rows(); ++r)
-    for (Index k = rp[r]; k < rp[r + 1]; ++k)
-      if (ci[k] <= r) t.add(ci[k], r, va[k]);  // transposed storage as above
-  const CsrMatrix byCol = CsrMatrix::fromTriplets(t);
-  CscLowerMatrix m;
-  m.n_ = a.rows();
-  m.colPtr_.assign(byCol.rowPointers().begin(), byCol.rowPointers().end());
-  m.rowIdx_.assign(byCol.colIndices().begin(), byCol.colIndices().end());
-  m.values_.assign(byCol.values().begin(), byCol.values().end());
-  return m;
-}
-
-CsrMatrix csrFromTripletChunks(Index rows, Index cols,
-                               std::span<const TripletMatrix> chunks) {
-  TripletMatrix merged(rows, cols);
-  std::size_t total = 0;
-  for (const auto& c : chunks) total += c.entryCount();
-  merged.reserve(total);
-  for (const auto& c : chunks) {
-    VIADUCT_REQUIRE(c.rows() == rows && c.cols() == cols);
-    const auto ri = c.rowIndices();
-    const auto ci = c.colIndices();
-    const auto va = c.values();
-    for (std::size_t k = 0; k < ri.size(); ++k) merged.add(ri[k], ci[k], va[k]);
-  }
-  return CsrMatrix::fromTriplets(merged);
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  VIADUCT_REQUIRE(a.size() == b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  VIADUCT_REQUIRE(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
 double dot(std::span<const double> a, std::span<const double> b,
            ThreadPool* pool) {
   VIADUCT_REQUIRE(a.size() == b.size());
@@ -298,10 +199,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y,
                          y[static_cast<std::size_t>(i)] +=
                              alpha * x[static_cast<std::size_t>(i)];
                        });
-}
-
-void scale(double alpha, std::span<double> x) {
-  for (double& v : x) v *= alpha;
 }
 
 }  // namespace viaduct

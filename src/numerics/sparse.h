@@ -1,8 +1,8 @@
 // Sparse matrix types.
 //
 // TripletMatrix is the assembly-time builder (duplicates are summed on
-// compression). CsrMatrix is the mat-vec workhorse for iterative solvers.
-// CscMatrix (lower-triangle view) feeds the sparse Cholesky factorization.
+// compression). CsrMatrix holds assembled systems: the input of the
+// supernodal Cholesky factorization and the Woodbury update engine.
 #pragma once
 
 #include <cstdint>
@@ -60,15 +60,6 @@ class CsrMatrix {
   /// zeros produced by cancellation is NOT done (structure kept stable).
   static CsrMatrix fromTriplets(const TripletMatrix& t);
 
-  /// Adopts prebuilt CSR arrays from an assembler that emits rows directly
-  /// in sorted order (e.g. the FEA node-gather stiffness assembly), skipping
-  /// the triplet detour. Validates shape, monotone row pointers, and
-  /// strictly increasing in-range column indices per row.
-  static CsrMatrix fromCsrArrays(Index rows, Index cols,
-                                 std::vector<Index> rowPointers,
-                                 std::vector<Index> colIndices,
-                                 std::vector<double> values);
-
   Index rows() const { return rows_; }
   Index cols() const { return cols_; }
   std::size_t nonZeroCount() const { return values_.size(); }
@@ -117,53 +108,14 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
-/// Compressed-sparse-column storage of the LOWER triangle (including the
-/// diagonal) of a symmetric matrix, as consumed by SparseCholesky.
-class CscLowerMatrix {
- public:
-  /// Builds the lower triangle from a symmetric triplet matrix (entries in
-  /// the upper triangle are mirrored; duplicates summed).
-  static CscLowerMatrix fromSymmetricTriplets(const TripletMatrix& t);
-
-  /// Builds from a full symmetric CSR matrix, keeping the lower triangle.
-  static CscLowerMatrix fromCsr(const CsrMatrix& a);
-
-  Index size() const { return n_; }
-  std::span<const Index> colPointers() const { return colPtr_; }
-  std::span<const Index> rowIndices() const { return rowIdx_; }
-  std::span<const double> values() const { return values_; }
-
- private:
-  Index n_ = 0;
-  std::vector<Index> colPtr_;
-  std::vector<Index> rowIdx_;
-  std::vector<double> values_;
-};
-
-/// Deterministic parallel triplet assembly: concatenates per-worker triplet
-/// buffers in buffer order (a fixed order chosen by the caller, independent
-/// of how chunks were scheduled) and compresses. Builders fill `chunks[c]`
-/// from contiguous element ranges so the merged entry sequence — and hence
-/// the duplicate-summing order inside fromTriplets — matches a serial
-/// single-buffer assembly exactly.
-CsrMatrix csrFromTripletChunks(Index rows, Index cols,
-                               std::span<const TripletMatrix> chunks);
-
-// Basic vector kernels shared by the solvers.
-double dot(std::span<const double> a, std::span<const double> b);
-double norm2(std::span<const double> a);
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-void scale(double alpha, std::span<double> x);
-
-// Pooled variants. dot/norm2 always sum in fixed kVectorOpGrain chunks
-// (partials combined in chunk order), so their results are bit-identical
-// for every pool size including nullptr — but differ in the last ulps from
-// the plain serial dot above. axpy is elementwise and exactly matches the
-// serial kernel for any partitioning.
+// Vector kernels shared by the solvers. dot/norm2 always sum in fixed
+// kVectorOpGrain chunks (partials combined in chunk order), so their
+// results are bit-identical for every pool size, nullptr (serial)
+// included. axpy is elementwise and identical for any partitioning.
 double dot(std::span<const double> a, std::span<const double> b,
-           ThreadPool* pool);
-double norm2(std::span<const double> a, ThreadPool* pool);
+           ThreadPool* pool = nullptr);
+double norm2(std::span<const double> a, ThreadPool* pool = nullptr);
 void axpy(double alpha, std::span<const double> x, std::span<double> y,
-          ThreadPool* pool);
+          ThreadPool* pool = nullptr);
 
 }  // namespace viaduct

@@ -12,10 +12,10 @@
 // exactly one task applying its update list in a fixed order, making the
 // factor bit-identical for every pool size (including no pool).
 //
-// Compared to the scalar up-looking SparseCholesky this trades pointer
-// chasing for dense panel arithmetic; with AMD ordering it factors
-// million-node power-grid meshes in seconds where the banded RCM factor
-// would not even fit in memory.
+// Compared to a scalar up-looking factorization (the test oracle in
+// tests/support/cholesky.h) this trades pointer chasing for dense panel
+// arithmetic; with AMD ordering it factors million-node power-grid meshes
+// in seconds where the banded RCM factor would not even fit in memory.
 #pragma once
 
 #include <memory>

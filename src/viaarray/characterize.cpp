@@ -104,16 +104,13 @@ std::string ViaArrayCharacterizationSpec::cacheKey() const {
      // governs recovery, never the physics (runs with discarded/salvaged
      // trials are never persisted).
      << ";rng=ctr1;key=p17"
-     // Level-1 network solver: the incremental shared-base/downdate path
-     // ("inc1", DESIGN.md §5.9) and the legacy from-scratch LU path
-     // ("exact") agree only to ~1e-12, so they key separately — a persisted
-     // entry is only rehydrated by the solver that produced it. The
-     // residual tolerance governs when the incremental path re-factors,
-     // which perturbs results at the same order, so it is part of the key
-     // on that path.
-     << ";solve=" << (network.exactResolve ? "exact" : "inc1");
-  if (!network.exactResolve)
-    os << ";rtol=" << network.refreshResidualTolerance;
+     // Level-1 network solver tag and its residual tolerance (which governs
+     // when a downdated factor is refreshed, perturbing results at ~1e-12).
+     // The incremental shared-base/downdate solve (DESIGN.md §5.9) is the
+     // only one, so "inc1" is a literal: it keeps keys byte-identical to
+     // entries persisted when a from-scratch LU solve was still selectable
+     // and keyed separately.
+     << ";solve=inc1;rtol=" << network.refreshResidualTolerance;
   // FEA solver tag. The multigrid solve is the only one, so the tag is a
   // literal; it keeps keys byte-identical to entries persisted when the
   // solver was still selectable. (`primitiveStore` is excluded for the

@@ -80,9 +80,7 @@ struct ViaArrayCharacterizationSpec {
   double totalCurrentDensity = 1.0e10;
 
   /// Crowding-network electrical config (totalCurrentAmps is derived, see
-  /// below). `network.exactResolve` selects the legacy from-scratch LU
-  /// solver instead of the incremental shared-base/downdate path for A/B
-  /// verification; the two key separately in cacheKey().
+  /// below).
   ViaArrayNetworkConfig network;
   EmParameters em;
 

@@ -1,7 +1,7 @@
-// Recovery-path tests: the FailurePolicy ladder (CG retry → Cholesky
-// fallback), Woodbury/session refactor recovery, characterization-cache
-// corruption recompute-and-rewrite, and per-trial discard/salvage/abort
-// semantics in the grid Monte Carlo.
+// Recovery-path tests: Woodbury/session refactor recovery,
+// characterization-cache corruption recompute-and-rewrite, and per-trial
+// discard/salvage/abort semantics in the grid Monte Carlo. The FEA solver's
+// CG retry ladder is covered in fea_multigrid_test.
 #include "fault/policy.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,6 @@
 #include "common/units.h"
 #include "fault/fault.h"
 #include "grid/grid_mc.h"
-#include "numerics/cholesky.h"
-#include "numerics/spd_solve.h"
 #include "spice/generator.h"
 #include "viaarray/cache.h"
 
@@ -28,102 +26,6 @@ class FaultPolicyTest : public ::testing::Test {
     fault::Registry::instance().setSeed(0);
   }
 };
-
-/// Small diagonally dominant SPD system (1D Laplacian chain + shift).
-CsrMatrix makeSpd(Index n) {
-  TripletMatrix t(n, n);
-  for (Index i = 0; i < n; ++i) {
-    t.add(i, i, 4.0 + 0.01 * static_cast<double>(i));
-    if (i + 1 < n) {
-      t.add(i, i + 1, -1.0);
-      t.add(i + 1, i, -1.0);
-    }
-  }
-  return CsrMatrix::fromTriplets(t);
-}
-
-std::vector<double> makeRhs(Index n) {
-  std::vector<double> b(static_cast<std::size_t>(n));
-  for (Index i = 0; i < n; ++i)
-    b[static_cast<std::size_t>(i)] = 1.0 + 0.1 * static_cast<double>(i % 7);
-  return b;
-}
-
-TEST_F(FaultPolicyTest, CholeskyFallbackMatchesDirectSolve) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
-
-  // Every CG attempt is forced to stall → the ladder must land on the
-  // direct solve and produce exactly what a standalone Cholesky produces.
-  fault::Registry::instance().arm("cg.nonconverge", {.probability = 1.0});
-  SpdSolveReport report;
-  const auto x =
-      solveSpdWithPolicy(a, b, CgOptions{}, fault::FailurePolicy{}, &report);
-
-  EXPECT_EQ(report.cgAttempts, 1 + fault::FailurePolicy{}.cgRetries);
-  EXPECT_TRUE(report.usedCholeskyFallback);
-  EXPECT_FALSE(report.lastCg.converged);
-
-  const auto direct = SparseCholesky(a).solve(b);
-  ASSERT_EQ(x.size(), direct.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_DOUBLE_EQ(x[i], direct[i]) << "component " << i;
-}
-
-TEST_F(FaultPolicyTest, RetryRecoversWithoutFallback) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
-
-  // Only the first attempt stalls; the tightened retry must converge and
-  // the direct fallback stays untouched.
-  fault::Registry::instance().arm("cg.nonconverge", {.nth = 1});
-  SpdSolveReport report;
-  const auto x =
-      solveSpdWithPolicy(a, b, CgOptions{}, fault::FailurePolicy{}, &report);
-
-  EXPECT_EQ(report.cgAttempts, 2);
-  EXPECT_FALSE(report.usedCholeskyFallback);
-  EXPECT_TRUE(report.lastCg.converged);
-  EXPECT_LT(a.residualNorm(x, b), 1e-8 * norm2(b));
-}
-
-TEST_F(FaultPolicyTest, NanResidualIsRetriedFromZeroGuess) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
-
-  fault::Registry::instance().arm("cg.nan_residual", {.nth = 1});
-  SpdSolveReport report;
-  const auto x =
-      solveSpdWithPolicy(a, b, CgOptions{}, fault::FailurePolicy{}, &report);
-
-  EXPECT_EQ(report.cgAttempts, 2);
-  EXPECT_TRUE(report.lastCg.converged);
-  EXPECT_LT(a.residualNorm(x, b), 1e-8 * norm2(b));
-}
-
-TEST_F(FaultPolicyTest, DisabledPolicyPropagatesTheFailure) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
-  fault::Registry::instance().arm("cg.nonconverge", {.probability = 1.0});
-  EXPECT_THROW(solveSpdWithPolicy(a, b, CgOptions{},
-                                  fault::FailurePolicy::disabled()),
-               NumericalError);
-
-  fault::Registry::instance().disarmAll();
-  fault::Registry::instance().arm("cg.nan_residual", {.probability = 1.0});
-  EXPECT_THROW(solveSpdWithPolicy(a, b, CgOptions{},
-                                  fault::FailurePolicy::disabled()),
-               NumericalError);
-}
-
-TEST_F(FaultPolicyTest, FallbackCanBeSwitchedOff) {
-  const CsrMatrix a = makeSpd(60);
-  const auto b = makeRhs(60);
-  fault::Registry::instance().arm("cg.nonconverge", {.probability = 1.0});
-  fault::FailurePolicy policy;
-  policy.fallbackCgToCholesky = false;
-  EXPECT_THROW(solveSpdWithPolicy(a, b, CgOptions{}, policy), NumericalError);
-}
 
 // ---------------------------------------------------------------------------
 // Characterization cache corruption → recompute-and-rewrite.

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "fault/fault.h"
 #include "fea/thermo_solver.h"
+#include "support/jacobi_cg.h"
 
 namespace viaduct {
 namespace {

@@ -21,9 +21,9 @@
 #include "grid/grid_mc.h"
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
-#include "numerics/cholesky.h"
 #include "numerics/supernodal_cholesky.h"
 #include "obs/obs.h"
+#include "support/cholesky.h"
 
 namespace viaduct {
 namespace {

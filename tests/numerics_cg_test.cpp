@@ -7,6 +7,7 @@
 #include "numerics/dense.h"
 #include "obs/obs.h"
 #include "obs/solver_health.h"
+#include "support/jacobi_cg.h"
 
 namespace viaduct {
 namespace {
@@ -98,72 +99,6 @@ TEST(Preconditioner, JacobiMatchesDiagonalScaling) {
   m.apply(r, z);
   const auto d = a.diagonal();
   for (std::size_t i = 0; i < 9; ++i) EXPECT_NEAR(z[i], 1.0 / d[i], 1e-14);
-}
-
-TEST(Preconditioner, BlockJacobiReducesIterationsOnBlockSystem) {
-  // Build a 3-dof-per-node system with strong intra-block coupling.
-  const Index nodes = 60;
-  TripletMatrix t(nodes * 3, nodes * 3);
-  Rng rng(21);
-  for (Index n = 0; n < nodes; ++n) {
-    for (int i = 0; i < 3; ++i) {
-      t.add(n * 3 + i, n * 3 + i, 10.0);
-      for (int j = i + 1; j < 3; ++j) {
-        const double c = rng.uniform(2.0, 4.0);
-        t.add(n * 3 + i, n * 3 + j, c);
-        t.add(n * 3 + j, n * 3 + i, c);
-      }
-    }
-    if (n + 1 < nodes)
-      for (int i = 0; i < 3; ++i) t.stampConductance(n * 3 + i, (n + 1) * 3 + i, 0.5);
-  }
-  const CsrMatrix a = CsrMatrix::fromTriplets(t);
-  std::vector<double> b = randomVector(static_cast<std::size_t>(nodes) * 3, rng);
-
-  std::vector<double> x1(b.size(), 0.0), x2(b.size(), 0.0);
-  const JacobiPreconditioner jac(a);
-  const BlockJacobiPreconditioner bj(a, 3);
-  const CgResult r1 = conjugateGradient(a, b, x1, jac);
-  const CgResult r2 = conjugateGradient(a, b, x2, bj);
-  EXPECT_TRUE(r1.converged);
-  EXPECT_TRUE(r2.converged);
-  EXPECT_LE(r2.iterations, r1.iterations);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x1[i], x2[i], 1e-6);
-}
-
-TEST(Preconditioner, BlockJacobiRequiresDivisibleSize)
-{
-  const CsrMatrix a = laplacian2d(4, 4);  // 16 rows, not divisible by 3
-  EXPECT_THROW(BlockJacobiPreconditioner(a, 3), PreconditionError);
-}
-
-TEST(Preconditioner, Ic0AcceleratesLaplacian) {
-  const CsrMatrix a = laplacian2d(24, 24, 0.001);
-  Rng rng(33);
-  std::vector<double> b = randomVector(576, rng);
-
-  std::vector<double> x1(b.size(), 0.0), x2(b.size(), 0.0);
-  const JacobiPreconditioner jac(a);
-  const IncompleteCholeskyPreconditioner ic(a);
-  EXPECT_EQ(ic.shiftUsed(), 0.0);  // M-matrix: IC(0) cannot break down
-  const CgResult r1 = conjugateGradient(a, b, x1, jac);
-  const CgResult r2 = conjugateGradient(a, b, x2, ic);
-  EXPECT_TRUE(r2.converged);
-  EXPECT_LT(r2.iterations, r1.iterations);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x1[i], x2[i], 1e-5);
-}
-
-TEST(Preconditioner, Ic0ExactForDiagonal) {
-  TripletMatrix t(3, 3);
-  t.add(0, 0, 4.0);
-  t.add(1, 1, 9.0);
-  t.add(2, 2, 16.0);
-  const CsrMatrix a = CsrMatrix::fromTriplets(t);
-  const IncompleteCholeskyPreconditioner ic(a);
-  std::vector<double> r = {4.0, 9.0, 16.0};
-  std::vector<double> z(3);
-  ic.apply(r, z);
-  for (double v : z) EXPECT_NEAR(v, 1.0, 1e-14);
 }
 
 class CgSizeSweep : public ::testing::TestWithParam<int> {};

@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "numerics/cg.h"
-#include "numerics/cholesky.h"
 #include "numerics/sparse.h"
 #include "numerics/woodbury.h"
+#include "support/cholesky.h"
+#include "support/jacobi_cg.h"
 
 namespace viaduct {
 namespace {

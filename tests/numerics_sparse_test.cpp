@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "numerics/cholesky.h"
+#include "common/thread_pool.h"
 #include "numerics/ordering.h"
 
 namespace viaduct {
@@ -124,46 +124,38 @@ TEST(CsrMatrix, ResidualNorm) {
   EXPECT_NEAR(m.residualNorm(x, b2), 1.0, 1e-14);
 }
 
-TEST(CscLowerMatrix, KeepsLowerTriangleWithDiagFirst) {
-  TripletMatrix t(3, 3);
-  t.stampConductance(0, 1, 1.0);
-  t.stampConductance(1, 2, 2.0);
-  const CscLowerMatrix lower = CscLowerMatrix::fromSymmetricTriplets(t);
-  EXPECT_EQ(lower.size(), 3);
-  const auto cp = lower.colPointers();
-  const auto ri = lower.rowIndices();
-  // Each column's first stored row index is the diagonal.
-  for (Index j = 0; j < 3; ++j) {
-    ASSERT_LT(cp[j], cp[j + 1]);
-    EXPECT_EQ(ri[cp[j]], j);
-  }
-}
-
-TEST(CscLowerMatrix, FromCsrMatchesTripletPath) {
-  TripletMatrix t(4, 4);
-  t.stampConductance(0, 1, 1.0);
-  t.stampConductance(1, 2, 2.0);
-  t.stampConductance(2, 3, 0.5);
-  t.stampConductance(0, 3, 0.25);
-  const CsrMatrix csr = CsrMatrix::fromTriplets(t);
-  const CscLowerMatrix a = CscLowerMatrix::fromSymmetricTriplets(t);
-  const CscLowerMatrix b = CscLowerMatrix::fromCsr(csr);
-  ASSERT_EQ(a.values().size(), b.values().size());
-  for (std::size_t i = 0; i < a.values().size(); ++i) {
-    EXPECT_EQ(a.rowIndices()[i], b.rowIndices()[i]);
-    EXPECT_NEAR(a.values()[i], b.values()[i], 1e-14);
-  }
-}
-
-TEST(VectorKernels, DotNormAxpyScale) {
+TEST(VectorKernels, DotNormAxpy) {
   std::vector<double> a = {1.0, 2.0, 2.0};
   std::vector<double> b = {3.0, 0.0, 4.0};
   EXPECT_NEAR(dot(a, b), 11.0, 1e-14);
   EXPECT_NEAR(norm2(a), 3.0, 1e-14);
   axpy(2.0, a, b);
   EXPECT_NEAR(b[0], 5.0, 1e-14);
-  scale(0.5, b);
-  EXPECT_NEAR(b[0], 2.5, 1e-14);
+}
+
+TEST(VectorKernels, ChunkedReductionsArePoolSizeInvariant) {
+  // Several kVectorOpGrain chunks plus a ragged tail: the serial (nullptr)
+  // and pooled kernels must agree bit for bit, which is what keeps the
+  // CG iterate sequence independent of the thread count.
+  const std::size_t n = 3 * static_cast<std::size_t>(kVectorOpGrain) + 17;
+  Rng rng(61);
+  std::vector<double> a(n), b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = rng.uniform(-1.0, 1.0);
+    b[i] = rng.uniform(-1.0, 1.0);
+  }
+  const double dotSerial = dot(a, b);
+  const double normSerial = norm2(a);
+  std::vector<double> ySerial = b;
+  axpy(0.37, a, ySerial);
+  for (const int threads : {1, 2, 3}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(dot(a, b, &pool), dotSerial) << threads << " threads";
+    EXPECT_EQ(norm2(a, &pool), normSerial) << threads << " threads";
+    std::vector<double> y = b;
+    axpy(0.37, a, y, &pool);
+    EXPECT_EQ(y, ySerial) << threads << " threads";
+  }
 }
 
 TEST(Ordering, IdentityIsValid) {
@@ -213,67 +205,6 @@ TEST(Ordering, HandlesDisconnectedComponents) {
   const CsrMatrix a = CsrMatrix::fromTriplets(t);
   const Ordering o = reverseCuthillMcKee(a);
   EXPECT_TRUE(o.isValid());
-}
-
-
-TEST(Ordering, MinimumDegreeIsValidPermutation) {
-  TripletMatrix t(10, 10);
-  for (Index i = 0; i < 10; ++i) t.add(i, i, 4.0);
-  for (Index i = 0; i + 1 < 10; ++i) t.stampConductance(i, i + 1, 1.0);
-  t.stampConductance(0, 9, 1.0);  // a ring
-  const Ordering o = minimumDegree(CsrMatrix::fromTriplets(t));
-  EXPECT_TRUE(o.isValid());
-}
-
-TEST(Ordering, MinimumDegreeEliminatesLeavesFirst) {
-  // A star graph: the hub must be eliminated LAST.
-  const Index n = 8;
-  TripletMatrix t(n, n);
-  for (Index i = 0; i < n; ++i) t.add(i, i, 4.0);
-  for (Index i = 1; i < n; ++i) t.stampConductance(0, i, 1.0);
-  const Ordering o = minimumDegree(CsrMatrix::fromTriplets(t));
-  // The hub stays degree >= 2 until only two nodes remain, so it cannot be
-  // eliminated before position n-2 (it may tie with the final leaf).
-  EXPECT_GE(o.inverse[0], static_cast<Index>(n - 2));
-}
-
-TEST(Ordering, MinimumDegreeReducesFillOnStar) {
-  // Natural order on a star with the hub first fills in completely;
-  // minimum degree keeps the factor linear-sized.
-  const Index n = 40;
-  TripletMatrix t(n, n);
-  for (Index i = 0; i < n; ++i) t.add(i, i, 8.0);
-  for (Index i = 1; i < n; ++i) t.stampConductance(0, i, 1.0);
-  const CsrMatrix a = CsrMatrix::fromTriplets(t);
-  const SparseCholesky natural(a, SparseCholesky::OrderingChoice::kNatural);
-  const SparseCholesky md(a, SparseCholesky::OrderingChoice::kMinimumDegree);
-  EXPECT_LT(md.factorNonZeroCount() * 5, natural.factorNonZeroCount());
-  // And the solves agree.
-  std::vector<double> b(static_cast<std::size_t>(n), 1.0);
-  const auto x1 = natural.solve(b);
-  const auto x2 = md.solve(b);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x1[i], x2[i], 1e-10);
-}
-
-TEST(Ordering, MinimumDegreeSolvesGridCorrectly) {
-  const Index nx = 12, ny = 12;
-  TripletMatrix t(nx * ny, nx * ny);
-  auto id = [nx2 = nx](Index x, Index y) { return y * nx2 + x; };
-  for (Index y = 0; y < ny; ++y)
-    for (Index x = 0; x < nx; ++x) {
-      t.add(id(x, y), id(x, y), 0.05);
-      if (x + 1 < nx) t.stampConductance(id(x, y), id(x + 1, y), 1.0);
-      if (y + 1 < ny) t.stampConductance(id(x, y), id(x, y + 1), 1.0);
-    }
-  const CsrMatrix a = CsrMatrix::fromTriplets(t);
-  Rng rng(314);
-  std::vector<double> xTrue(static_cast<std::size_t>(a.rows()));
-  for (auto& v : xTrue) v = rng.uniform(-1.0, 1.0);
-  std::vector<double> b(xTrue.size());
-  a.multiply(xTrue, b);
-  const SparseCholesky md(a, SparseCholesky::OrderingChoice::kMinimumDegree);
-  const auto x = md.solve(b);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], xTrue[i], 1e-8);
 }
 
 }  // namespace

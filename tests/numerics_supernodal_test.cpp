@@ -7,9 +7,9 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "numerics/cholesky.h"
 #include "numerics/dense.h"
 #include "numerics/ordering.h"
+#include "support/cholesky.h"
 
 namespace viaduct {
 namespace {
@@ -82,12 +82,12 @@ TEST(AmdOrdering, IsValidOnRandomPattern) {
   }
 }
 
-TEST(AmdOrdering, ReducesFillVersusNaturalOnGrid) {
+TEST(AmdOrdering, ReducesFillVersusRcmOnGrid) {
   const CsrMatrix a = laplacian2d(30, 30);
-  const SparseCholesky natural(a, OrderingChoice::kNatural);
+  const SparseCholesky rcm(a, OrderingChoice::kRcm);
   const SparseCholesky amd(a, OrderingChoice::kAmd);
-  // On a 2-D mesh AMD should beat the natural (banded) ordering clearly.
-  EXPECT_LT(amd.factorNonZeroCount(), natural.factorNonZeroCount());
+  // On a 2-D mesh AMD should beat the banded RCM ordering clearly.
+  EXPECT_LT(amd.factorNonZeroCount(), rcm.factorNonZeroCount());
 }
 
 TEST(AmdOrdering, SolvesCorrectly) {
@@ -132,9 +132,7 @@ TEST(SupernodalCholesky, MatchesDenseOnRandomSpdAllOrderings) {
     const CsrMatrix a = randomSpd(90, 0.05, seed);
     const auto b = randomVector(static_cast<std::size_t>(a.rows()), seed + 50);
     const auto xd = denseReference(a, b);
-    for (OrderingChoice ord :
-         {OrderingChoice::kNatural, OrderingChoice::kRcm,
-          OrderingChoice::kMinimumDegree, OrderingChoice::kAmd}) {
+    for (OrderingChoice ord : {OrderingChoice::kRcm, OrderingChoice::kAmd}) {
       const SupernodalCholesky super(a, ord);
       const auto xs = super.solve(b);
       for (std::size_t i = 0; i < b.size(); ++i)
@@ -146,11 +144,11 @@ TEST(SupernodalCholesky, MatchesDenseOnRandomSpdAllOrderings) {
 
 TEST(SupernodalCholesky, FactorNnzMatchesUplookingSameOrdering) {
   // The supernode partition must not pad: with the same fill ordering the
-  // panel nnz equals the scalar factor's nnz. Natural ordering keeps the
-  // composed postorder from changing fill.
+  // panel nnz equals the scalar factor's nnz (composing the fill ordering
+  // with an elimination-tree postorder does not change fill).
   const CsrMatrix a = laplacian2d(12, 12);
-  const SupernodalCholesky super(a, OrderingChoice::kNatural);
-  const SparseCholesky up(a, OrderingChoice::kNatural);
+  const SupernodalCholesky super(a, OrderingChoice::kRcm);
+  const SparseCholesky up(a, OrderingChoice::kRcm);
   EXPECT_EQ(super.factorNonZeroCount(), up.factorNonZeroCount());
 }
 
@@ -246,12 +244,12 @@ TEST(SupernodalCholesky, SupernodesActuallyMerge) {
   // a grid gives some reduction; a dense-ish factor should collapse to a
   // handful of width-capped panels.
   const CsrMatrix grid = laplacian2d(24, 24);
-  const SupernodalCholesky gridChol(grid, OrderingChoice::kNatural);
+  const SupernodalCholesky gridChol(grid, OrderingChoice::kRcm);
   EXPECT_LT(gridChol.supernodeCount(), grid.rows());
   EXPECT_GE(gridChol.levelCount(), 1);
 
   const CsrMatrix dense = randomSpd(120, 0.5, 9);
-  const SupernodalCholesky denseChol(dense, OrderingChoice::kNatural);
+  const SupernodalCholesky denseChol(dense, OrderingChoice::kRcm);
   EXPECT_LE(denseChol.supernodeCount(), dense.rows() / 4);
 }
 

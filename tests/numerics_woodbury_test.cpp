@@ -4,8 +4,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "numerics/cholesky.h"
 #include "numerics/supernodal_cholesky.h"
+#include "support/cholesky.h"
 
 namespace viaduct {
 namespace {

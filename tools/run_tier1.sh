@@ -13,9 +13,11 @@
 #   6. an uninjected CLI smoke run that must complete WARN-free: with no
 #      site armed, no recovery path may fire and nothing may warn. The run
 #      checkpoints, is re-run with --resume, and both must agree;
-#   7. the perf_viaarray A/B smoke: the incremental network solver and the
-#      legacy exact path must agree step-by-step and across a full level-1
-#      characterization (exit is nonzero on mismatch, never on timing);
+#   7. the perf_viaarray smoke: times the incremental level-1 network solve
+#      over full failure sweeps and one level-1 characterization
+#      (BENCH_viaarray.json; exit is nonzero only if a solve throws, never
+#      on timing — the parity of the downdated solves with an exact LU
+#      resolve is the ctest gate of step 1);
 #   8. the perf_grid_scale smoke: the level-2 supernodal engine on a
 #      ~1e4-node synthetic mesh — records the base factor, per-failure and
 #      per-trial costs, asserts voltage parity with an up-looking Cholesky
@@ -121,10 +123,9 @@ if grep -E "\[viaduct (WARN|ERROR)" "$SMOKE_LOG"; then
 fi
 echo "smoke run clean (no WARN/ERROR lines, resume exact)"
 
-echo "=== [7/14] perf_viaarray: incremental vs exact solver A/B smoke ==="
+echo "=== [7/14] perf_viaarray: incremental level-1 solver timing smoke ==="
 # Benchmark registrations are skipped (filter matches nothing); the manual
-# A/B cross-check and BENCH_viaarray.json still run. Exit is nonzero only
-# if the two solver paths disagree.
+# sweep and characterization timings and BENCH_viaarray.json still run.
 (cd build/bench && ./perf_viaarray --benchmark_filter='^$')
 
 echo "=== [8/14] perf_grid_scale: level-2 engine smoke ==="

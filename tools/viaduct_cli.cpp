@@ -97,7 +97,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
                            primitiveStorePath;
   int viaN = 4, trials = 300, charTrials = 300, threads = 0,
       checkpointEvery = 32;
-  bool resume = false, exactResolve = false, wireAudit = false;
+  bool resume = false, wireAudit = false;
   double tuneIr = 0.06, wireMarginMpa = 340.0;
   std::string emMode = "steady";
   CliFlags flags("viaduct_cli analyze: two-level EM TTF analysis");
@@ -122,10 +122,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
   flags.addBool("resume", &resume,
                 "resume completed trials from --checkpoint (stale or "
                 "corrupt snapshots are rejected and re-run)");
-  flags.addBool("exact-resolve", &exactResolve,
-                "characterize with the legacy from-scratch LU network solve "
-                "instead of the incremental factor-downdate path (slow; A/B "
-                "verification only)");
   flags.addString("primitive-store", &primitiveStorePath,
                   "on-disk FEA stress-primitive store; a warm store "
                   "characterizes with zero FEA solves");
@@ -146,7 +142,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
   config.viaArraySize = viaN;
   config.trials = trials;
   config.characterization.trials = charTrials;
-  config.characterization.network.exactResolve = exactResolve;
   if (!primitiveStorePath.empty())
     config.characterization.primitiveStore =
         std::make_shared<StressPrimitiveStore>(primitiveStorePath);
@@ -209,7 +204,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
 
 int cmdCharacterize(int argc, const char* const* argv) {
   int n = 4, trials = 500, threads = 0, checkpointEvery = 32;
-  bool resume = false, exactResolve = false;
+  bool resume = false;
   std::string pattern = "Plus", criterion = "open", cachePath, checkpointPath,
               primitiveStorePath;
   CliFlags flags("viaduct_cli characterize: level-1 via-array TTF");
@@ -229,10 +224,6 @@ int cmdCharacterize(int argc, const char* const* argv) {
   flags.addBool("resume", &resume,
                 "resume completed trials from --checkpoint (stale or "
                 "corrupt snapshots are rejected and re-run)");
-  flags.addBool("exact-resolve", &exactResolve,
-                "use the legacy from-scratch LU network solve instead of "
-                "the incremental factor-downdate path (slow; A/B "
-                "verification only)");
   flags.addString("primitive-store", &primitiveStorePath,
                   "on-disk FEA stress-primitive store; a warm store "
                   "characterizes with zero FEA solves");
@@ -240,7 +231,6 @@ int cmdCharacterize(int argc, const char* const* argv) {
 
   ViaArrayCharacterizationSpec spec;
   spec.array.n = n;
-  spec.network.exactResolve = exactResolve;
   if (!primitiveStorePath.empty())
     spec.primitiveStore =
         std::make_shared<StressPrimitiveStore>(primitiveStorePath);
