@@ -1,18 +1,15 @@
-// Steady-state vs transient wire-EM analysis (BENCH_em_steady.json).
+// Closed-form steady-state wire-EM audit cost and parity
+// (BENCH_em_steady.json).
 //
-// Three measurements back DESIGN.md §5.14:
+// Two gates and one timing back DESIGN.md §5.14:
 //   1. Parity: the closed-form steady-state tree solver against the marched
-//      implicit-Euler asymptote on fig6/fig7-scale line geometries (20-100 um
-//      segments, j in the 1e9..4e10 A/m^2 range). Gate: max relative
-//      mismatch <= 1e-8.
-//   2. Audit cost: one wire-EM audit of a healthy mesh solution in each
-//      SignoffMode at each mesh size — the per-audit steady-vs-transient
-//      speedup is the paper's linear-time-vs-marching claim in isolation.
-//   3. End-to-end Monte Carlo: seconds/trial with the audit in each mode
-//      (plus audit-off), samples bit-identical across all of them, and the
-//      per-trial steady-vs-transient speedup. Gate (full mode): >= 5x at
-//      the ~1e5-node mesh; smoke gates a conservative 1.5x on the small
-//      mesh only.
+//      implicit-Euler asymptote (the transient oracle of tests/support) on
+//      fig6/fig7-scale line geometries (20-100 um segments, j in the
+//      1e9..4e10 A/m^2 range). Gate: max relative mismatch <= 1e-8.
+//   2. Audit cost: seconds per wire-EM audit of a healthy mesh solution at
+//      each mesh size (timing only, never gated).
+//   3. A short grid Monte Carlo with the audit off and on. Gate: the
+//      samples are bit-identical (the audit is diagnostic-only).
 //
 // --smoke runs the ~1e4-node mesh only with reduced repetitions; tier-1
 // runs it on every commit, CI runs the full sweep.
@@ -33,6 +30,7 @@
 #include "grid/mesh.h"
 #include "grid/power_grid.h"
 #include "grid/wire_mortality.h"
+#include "support/transient_path.h"
 
 using namespace viaduct;
 
@@ -112,21 +110,9 @@ struct Point {
   Index nodes = 0;
   int trees = 0;
   int branches = 0;
-  // Per-audit seconds in each mode on the healthy solution.
-  double auditSteady = 0.0;
-  double auditTransient = 0.0;
-  double auditHybrid = 0.0;
-  double auditSpeedup = 0.0;
-  // Monte Carlo seconds/trial.
-  int trials = 0;
-  double trialOff = 0.0;
-  double trialSteady = 0.0;
-  double trialTransient = 0.0;
-  double trialHybrid = 0.0;
-  double trialSpeedup = 0.0;
-  int mortalTreesSteady = 0;
-  int mortalTreesTransient = 0;
-  bool verdictIdentical = true;
+  double auditSeconds = 0.0;  // per audit of the healthy solution
+  int mortalTrees = 0;
+  int trials = 0;  // Monte Carlo trials of the audit on/off check
   bool samplesIdentical = true;
 };
 
@@ -145,8 +131,7 @@ GridMcOptions mcOptions(int trials) {
   return opts;
 }
 
-Point measure(Index targetNodes, int trials, int steadyReps,
-              int transientReps) {
+Point measure(Index targetNodes, int trials, int auditReps) {
   Point p;
   p.targetNodes = targetNodes;
   p.trials = trials;
@@ -167,58 +152,22 @@ Point measure(Index targetNodes, int trials, int steadyReps,
   const auto solution = model.solveNominal();
   VIADUCT_CHECK(solution.solverOk);
   auto scratch = trees->makeScratch();
+  WireTreeSet::Audit audit;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int r = 0; r < auditReps; ++r)
+    audit = trees->audit(model, solution, margin, params, scratch);
+  p.auditSeconds = seconds(t0) / auditReps;
+  p.mortalTrees = audit.mortalTrees;
 
-  const auto timeAudit = [&](SignoffMode mode, int reps,
-                             WireTreeSet::Audit* out) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r)
-      *out = trees->audit(model, solution, mode, margin, params, scratch);
-    return seconds(t0) / reps;
-  };
-  WireTreeSet::Audit steadyAudit, transientAudit, hybridAudit;
-  p.auditSteady =
-      timeAudit(SignoffMode::kSteadyState, steadyReps, &steadyAudit);
-  p.auditTransient =
-      timeAudit(SignoffMode::kTransient, transientReps, &transientAudit);
-  p.auditHybrid =
-      timeAudit(SignoffMode::kHybrid, transientReps, &hybridAudit);
-  p.auditSpeedup = p.auditTransient / p.auditSteady;
-  p.mortalTreesSteady = steadyAudit.mortalTrees;
-  p.mortalTreesTransient = transientAudit.mortalTrees;
-  p.verdictIdentical = steadyAudit.mortalTrees == transientAudit.mortalTrees &&
-                       steadyAudit.mortalTrees == hybridAudit.mortalTrees;
-
-  // End-to-end Monte Carlo per mode (identical trial streams; the audit is
-  // diagnostic-only, so every mode must reproduce the audit-off samples).
-  const auto runMode = [&](const GridWireEmOptions* em, double* secsPerTrial) {
-    auto opts = mcOptions(trials);
-    if (em) opts.wireEm = *em;
-    const auto t0 = std::chrono::steady_clock::now();
-    const GridMcResult result = runGridMonteCarlo(model, opts);
-    *secsPerTrial = seconds(t0) / trials;
-    return result;
-  };
-  double unused = 0.0;
-  const GridMcResult off = runMode(nullptr, &p.trialOff);
-  GridWireEmOptions em;
-  em.trees = trees;
-  em.stressMarginPa = margin;
-  em.params = params;
-  em.mode = SignoffMode::kSteadyState;
-  const GridMcResult steady = runMode(&em, &p.trialSteady);
-  em.mode = SignoffMode::kTransient;
-  const GridMcResult transient = runMode(&em, &p.trialTransient);
-  em.mode = SignoffMode::kHybrid;
-  const GridMcResult hybrid = runMode(&em, &p.trialHybrid);
-  (void)unused;
-  p.trialSpeedup = p.trialTransient / p.trialSteady;
-  p.samplesIdentical = off.ttfSamples == steady.ttfSamples &&
-                       off.ttfSamples == transient.ttfSamples &&
-                       off.ttfSamples == hybrid.ttfSamples;
-  p.verdictIdentical =
-      p.verdictIdentical &&
-      steady.wireMortalConfigs == transient.wireMortalConfigs &&
-      steady.wireMortalConfigs == hybrid.wireMortalConfigs;
+  // Monte Carlo with the audit off and on (identical trial streams; the
+  // audit must reproduce the audit-off samples).
+  auto opts = mcOptions(trials);
+  const GridMcResult off = runGridMonteCarlo(model, opts);
+  opts.wireEm.trees = trees;
+  opts.wireEm.stressMarginPa = margin;
+  opts.wireEm.params = params;
+  const GridMcResult on = runGridMonteCarlo(model, opts);
+  p.samplesIdentical = off.ttfSamples == on.ttfSamples;
   return p;
 }
 
@@ -226,18 +175,9 @@ void writePoint(std::ostream& os, const Point& p, bool last) {
   os << "    {\"target_nodes\": " << p.targetNodes
      << ", \"nodes\": " << p.nodes << ", \"trees\": " << p.trees
      << ", \"branches\": " << p.branches
-     << ", \"audit_seconds_steady\": " << p.auditSteady
-     << ", \"audit_seconds_transient\": " << p.auditTransient
-     << ", \"audit_seconds_hybrid\": " << p.auditHybrid
-     << ", \"audit_speedup\": " << p.auditSpeedup
+     << ", \"audit_seconds\": " << p.auditSeconds
+     << ", \"mortal_trees\": " << p.mortalTrees
      << ", \"trials\": " << p.trials
-     << ", \"trial_seconds_audit_off\": " << p.trialOff
-     << ", \"trial_seconds_steady\": " << p.trialSteady
-     << ", \"trial_seconds_transient\": " << p.trialTransient
-     << ", \"trial_seconds_hybrid\": " << p.trialHybrid
-     << ", \"per_trial_speedup\": " << p.trialSpeedup
-     << ", \"mortal_trees\": " << p.mortalTreesSteady
-     << ", \"verdict_identical\": " << (p.verdictIdentical ? "true" : "false")
      << ", \"samples_identical\": " << (p.samplesIdentical ? "true" : "false")
      << "}" << (last ? "" : ",") << "\n";
 }
@@ -247,7 +187,7 @@ void writePoint(std::ostream& os, const Point& p, bool last) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string out = "BENCH_em_steady.json";
-  CliFlags flags("perf_em_steady: steady-state vs transient wire-EM");
+  CliFlags flags("perf_em_steady: closed-form steady-state wire-EM audit");
   flags.addBool("smoke", &smoke,
                 "small mesh only, reduced repetitions (tier-1 gate)");
   flags.addString("out", &out, "JSON report path");
@@ -271,19 +211,15 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
   if (smoke) {
     points.push_back(measure(/*targetNodes=*/10000, /*trials=*/4,
-                             /*steadyReps=*/20, /*transientReps=*/2));
+                             /*auditReps=*/20));
   } else {
-    points.push_back(measure(10000, 8, 50, 4));
-    points.push_back(measure(100000, 4, 20, 2));
+    points.push_back(measure(10000, 8, 50));
+    points.push_back(measure(100000, 4, 20));
   }
   for (const Point& p : points) {
     std::cout << "  n=" << p.nodes << ": " << p.trees << " trees / "
-              << p.branches << " branches; audit " << p.auditSteady
-              << " s steady vs " << p.auditTransient << " s transient ("
-              << p.auditSpeedup << "x, hybrid " << p.auditHybrid
-              << " s); trial " << p.trialSteady << " s vs "
-              << p.trialTransient << " s (" << p.trialSpeedup
-              << "x); mortal trees " << p.mortalTreesSteady << "\n";
+              << p.branches << " branches; audit " << p.auditSeconds
+              << " s; mortal trees " << p.mortalTrees << "\n";
   }
 
   std::ofstream os(out);
@@ -295,8 +231,7 @@ int main(int argc, char** argv) {
      << ",\n  \"worst_parity\": " << worstParity << ",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i)
     writePoint(os, points[i], i + 1 == points.size());
-  os << "  ],\n  \"largest_mesh_per_trial_speedup\": "
-     << points.back().trialSpeedup << "\n}\n";
+  os << "  ]\n}\n";
   std::cout << "wrote " << out << "\n";
 
   // Gates.
@@ -307,22 +242,11 @@ int main(int argc, char** argv) {
     pass = false;
   }
   for (const Point& p : points) {
-    if (!p.verdictIdentical) {
-      std::cerr << "FAIL: mode verdicts disagree at n=" << p.nodes << "\n";
-      pass = false;
-    }
     if (!p.samplesIdentical) {
-      std::cerr << "FAIL: TTF samples differ across EM modes at n="
+      std::cerr << "FAIL: TTF samples differ with the audit on at n="
                 << p.nodes << "\n";
       pass = false;
     }
-  }
-  const double floor = smoke ? 1.5 : 5.0;
-  if (points.back().trialSpeedup < floor) {
-    std::cerr << "FAIL: per-trial speedup " << points.back().trialSpeedup
-              << "x below the " << floor << "x floor at n="
-              << points.back().nodes << "\n";
-    pass = false;
   }
   return pass ? 0 : 1;
 }

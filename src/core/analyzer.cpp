@@ -145,7 +145,6 @@ GridTtfReport PowerGridEmAnalyzer::analyze(
   if (config_.wireEmAudit) {
     options.wireEm.trees =
         WireTreeSet::build(netlist_, config_.wireGeometry);
-    options.wireEm.mode = config_.emMode;
     options.wireEm.stressMarginPa = config_.wireStressMarginPa;
     options.wireEm.params = config_.wireEmParams;
   }

@@ -73,10 +73,11 @@ struct AnalyzerConfig {
   checkpoint::Options checkpoint;
 
   /// Per-trial wire-EM audit of every Monte Carlo failure configuration
-  /// (DESIGN.md §5.14). Diagnostic-only: TTF samples are bit-identical
-  /// with the audit on or off, and across `emMode` choices.
+  /// (DESIGN.md §5.14) with the closed-form steady-state verdict.
+  /// Diagnostic-only: TTF samples are bit-identical with the audit on or
+  /// off.
   bool wireEmAudit = false;
-  /// Verdict computation for the audit (and the --em-mode CLI flag).
+  /// Inert; exists only because the frozen benchmark (perfbench/) sets it.
   SignoffMode emMode = SignoffMode::kSteadyState;
   /// Wire geometry / stress margin for the audit.
   WireGeometry wireGeometry;

@@ -84,14 +84,14 @@ double runTrial(const PowerGridModel& model, const GridMcOptions& options,
   }
 
   // Diagnostic wire-EM audit of each failure configuration's operating
-  // point. Never feeds back into the TTF samples (bit-identity across EM
-  // modes); the mode only decides how the verdicts are computed.
+  // point. Never feeds back into the TTF samples (bit-identity with the
+  // audit on or off).
   const bool wireAudit = options.wireEm.enabled();
   auto auditConfig = [&](const PowerGridModel::DcSolution& s) {
     if (!wireAudit) return;
     const WireTreeSet::Audit audit = options.wireEm.trees->audit(
-        model, s, options.wireEm.mode, options.wireEm.stressMarginPa,
-        options.wireEm.params, ws.emScratch);
+        model, s, options.wireEm.stressMarginPa, options.wireEm.params,
+        ws.emScratch);
     if (wireAuditedOut) ++*wireAuditedOut;
     if (wireMortalOut && audit.anyMortal()) ++*wireMortalOut;
   };
@@ -199,7 +199,7 @@ std::string gridMcCheckpointKey(const PowerGridModel& model,
   for (const double s : options.perArrayTtfScale) dists << s << ';';
   // v3: the wire-EM audit joined the key (and, when enabled, the trial
   // payload grows two audit values), so snapshots written with a different
-  // audit mode / margin / tree decomposition must not be resumed.
+  // margin / tree decomposition must not be resumed.
   // v4: supernodal+AMD became the only grid backend. Samples moved by
   // ~1e-10 and are persisted bit-exactly, so no v3 snapshot (written by
   // any backend) may resume.
@@ -219,8 +219,9 @@ std::string gridMcCheckpointKey(const PowerGridModel& model,
   if (options.wireEm.enabled()) {
     // The tree digest covers topology + geometry; the unit-j stress
     // gradient eZ*ρ/Ω and the margin cover every physics input to the
-    // verdicts.
-    os << signoffModeName(options.wireEm.mode) << ','
+    // verdicts. "steady" is a literal: it was once the selected verdict
+    // mode, and keeping its bytes lets existing steady snapshots resume.
+    os << "steady,"
        << options.wireEm.stressMarginPa << ','
        << stressGradientPerMeter(1.0, options.wireEm.params) << ','
        << std::hex << options.wireEm.trees->digest() << std::dec;

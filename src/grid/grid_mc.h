@@ -39,13 +39,14 @@ struct GridFailureCriterion {
 /// Per-trial wire-EM audit riding on the Monte Carlo (DESIGN.md §5.14):
 /// every failure configuration's DC operating point is checked against the
 /// steady-state wire-stress verdicts. The audit is DIAGNOSTIC-ONLY — it
-/// never alters TTF samples, so samples stay bit-identical across EM modes
-/// and the mode choice only changes how much the verdicts cost.
+/// never alters TTF samples, so samples stay bit-identical with the audit
+/// on or off.
 struct GridWireEmOptions {
   /// Shared immutable tree decomposition (WireTreeSet::build). Null
   /// disables the audit. The decomposition is reused across every trial
   /// and failure configuration; only per-branch currents are recomputed.
   std::shared_ptr<const WireTreeSet> trees;
+  /// Inert; exists only because the frozen benchmark (perfbench/) sets it.
   SignoffMode mode = SignoffMode::kSteadyState;
   /// Wire stress margin σ_C − σ_T − σ_pkg [Pa].
   double stressMarginPa = 340e6;

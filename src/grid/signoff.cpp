@@ -26,8 +26,7 @@ WireEmCensus signoffWires(const Netlist& netlist,
                           const SignoffConfig& config) {
   VIADUCT_REQUIRE(config.wireStressMarginPa > 0.0);
   return classifyWiresEm(netlist, config.wireGeometry,
-                         config.wireStressMarginPa, config.emParams,
-                         config.emMode);
+                         config.wireStressMarginPa, config.emParams);
 }
 
 }  // namespace viaduct

@@ -18,11 +18,8 @@ struct SignoffConfig {
   double currentDensityLimit = 2.0e10;
   /// Effective via-array cross-section area [m²] (1 µm² in the paper).
   double viaEffectiveArea = 1.0e-12;
-  /// Wire-EM verdict mode for signoffWires() (DESIGN.md §5.14). Hybrid is
-  /// the paper-accurate default: steady-state immortality filter with a
-  /// transient confirmation only for the mortal minority.
-  SignoffMode emMode = SignoffMode::kHybrid;
-  /// Wire geometry and stress physics for signoffWires().
+  /// Wire geometry and stress physics for signoffWires() (DESIGN.md
+  /// §5.14).
   WireGeometry wireGeometry;
   double wireStressMarginPa = 340e6;
   EmParameters emParams;
@@ -45,7 +42,7 @@ SignoffReport signoffViaArrays(const PowerGridModel& model,
                                const SignoffConfig& config = SignoffConfig{});
 
 /// Tree-aware wire-EM sign-off at the healthy DC operating point, using
-/// the steady-state stress analysis in the configured `emMode`. Complements
+/// the closed-form steady-state stress analysis. Complements
 /// signoffViaArrays(): a grid passes full sign-off when both the via
 /// current-density checks and the wire stress verdicts are clean.
 WireEmCensus signoffWires(const Netlist& netlist,

@@ -48,12 +48,7 @@ WireMortality classifyWires(const Netlist& netlist,
   census.productLimit = blechProductLimit(stressMargin, params);
 
   for (const auto& r : netlist.resistors()) {
-    const bool isWire =
-        std::any_of(geometry.wirePrefixes.begin(),
-                    geometry.wirePrefixes.end(), [&](const std::string& p) {
-                      return r.name.rfind(p, 0) == 0;
-                    });
-    if (!isWire) continue;
+    if (!matchesWirePrefix(r.name, geometry)) continue;
     const double va = model.nodeVoltage(r.a, solution);
     const double vb = model.nodeVoltage(r.b, solution);
     const double current = std::abs(va - vb) / r.ohms;
@@ -67,27 +62,6 @@ WireMortality classifyWires(const Netlist& netlist,
   VIADUCT_REQUIRE_MSG(census.totalWires > 0,
                       "no wire segments matched the configured prefixes");
   return census;
-}
-
-std::string_view signoffModeName(SignoffMode mode) {
-  switch (mode) {
-    case SignoffMode::kTransient:
-      return "transient";
-    case SignoffMode::kSteadyState:
-      return "steady";
-    case SignoffMode::kHybrid:
-      return "hybrid";
-  }
-  return "unknown";
-}
-
-SignoffMode parseSignoffMode(std::string_view text) {
-  if (text == "transient") return SignoffMode::kTransient;
-  if (text == "steady" || text == "steady-state" || text == "steadystate")
-    return SignoffMode::kSteadyState;
-  if (text == "hybrid") return SignoffMode::kHybrid;
-  throw ParseError("unknown --em-mode '" + std::string(text) +
-                   "' (expected steady|transient|hybrid)");
 }
 
 std::shared_ptr<const WireTreeSet> WireTreeSet::build(
@@ -229,7 +203,7 @@ WireTreeSet::Scratch WireTreeSet::makeScratch() const {
 
 WireTreeSet::Audit WireTreeSet::audit(
     const PowerGridModel& model, const PowerGridModel::DcSolution& solution,
-    SignoffMode mode, double stressMarginPa, const EmParameters& params,
+    double stressMarginPa, const EmParameters& params,
     Scratch& scratch) const {
   VIADUCT_SPAN("em.steady_pass");
   VIADUCT_REQUIRE_MSG(stressMarginPa > 0.0, "stress margin must be positive");
@@ -248,32 +222,14 @@ WireTreeSet::Audit WireTreeSet::audit(
   }
 
   Audit result;
-  for (const Tree& tree : trees_) {
-    const std::span<const double> branchJ(
-        scratch.branchCurrentDensity.data() +
-            static_cast<std::size_t>(tree.branchOffset),
-        static_cast<std::size_t>(tree.solver.branchCount()));
+  for (int i = 0; i < treeCount(); ++i) {
+    const SteadyStateTreeSolver& solver = treeSolver(i);
     const std::span<double> nodeStress(
         scratch.nodeStress.data(),
-        static_cast<std::size_t>(tree.solver.nodeCount()));
-
-    double rise = 0.0;
-    const bool wantTransient = mode == SignoffMode::kTransient;
-    if (!wantTransient || !tree.solver.isPath()) {
-      rise = tree.solver.maxStressRise(branchJ, params, nodeStress);
-      ++result.steadySolves;
-    }
-    const bool steadyMortal = rise >= stressMarginPa;
-    if (tree.solver.isPath() &&
-        (wantTransient ||
-         (mode == SignoffMode::kHybrid && steadyMortal))) {
-      TransientPathReference reference(tree.solver, branchJ, params,
-                                       /*sigmaT=*/0.0);
-      reference.runToSteadyState();
-      rise = reference.maxNodalStressRise();
-      ++result.transientSolves;
-      if (mode == SignoffMode::kHybrid) ++result.transientFallbacks;
-    }
+        static_cast<std::size_t>(solver.nodeCount()));
+    const double rise = solver.maxStressRise(treeCurrentDensity(i, scratch),
+                                             params, nodeStress);
+    ++result.steadySolves;
     if (rise >= stressMarginPa) ++result.mortalTrees;
     result.worstStressRisePa = std::max(result.worstStressRisePa, rise);
   }
@@ -292,30 +248,40 @@ WireTreeSet::Audit WireTreeSet::audit(
 
   VIADUCT_COUNTER_ADD("em.steady_solves",
                       static_cast<std::uint64_t>(result.steadySolves));
-  VIADUCT_COUNTER_ADD("em.transient_fallbacks",
-                      static_cast<std::uint64_t>(result.transientFallbacks));
   return result;
+}
+
+const SteadyStateTreeSolver& WireTreeSet::treeSolver(int i) const {
+  return trees_.at(static_cast<std::size_t>(i)).solver;
+}
+
+std::span<const double> WireTreeSet::treeCurrentDensity(
+    int i, const Scratch& scratch) const {
+  const Tree& tree = trees_.at(static_cast<std::size_t>(i));
+  VIADUCT_REQUIRE(scratch.branchCurrentDensity.size() ==
+                  static_cast<std::size_t>(branchCount()));
+  return std::span<const double>(scratch.branchCurrentDensity)
+      .subspan(static_cast<std::size_t>(tree.branchOffset),
+               static_cast<std::size_t>(tree.solver.branchCount()));
 }
 
 WireEmCensus classifyWiresEm(const Netlist& netlist,
                              const WireGeometry& geometry,
                              double stressMargin, const EmParameters& params,
-                             SignoffMode mode) {
+                             SignoffMode) {
   const auto trees = WireTreeSet::build(netlist, geometry);
   const PowerGridModel model(netlist);
   const auto solution = model.solveNominal();
   auto scratch = trees->makeScratch();
   const WireTreeSet::Audit audit =
-      trees->audit(model, solution, mode, stressMargin, params, scratch);
+      trees->audit(model, solution, stressMargin, params, scratch);
 
   WireEmCensus census;
-  census.mode = mode;
   census.trees = trees->treeCount();
   census.branches = trees->branchCount();
   census.mortalTrees = audit.mortalTrees;
   census.cyclicComponents = trees->cyclicComponents();
   census.mortalCyclicSegments = audit.mortalCyclicSegments;
-  census.transientFallbacks = audit.transientFallbacks;
   census.worstStressRisePa = audit.worstStressRisePa;
   census.stressMarginPa = stressMargin;
   return census;

@@ -10,6 +10,11 @@
 // Format: a line-oriented text file, one `entry` block per configuration.
 // Keys embed every physical parameter, so stale entries are simply never
 // matched after a parameter change.
+//
+// Writes are crash-safe (common/atomic_file.h): each save rewrites the
+// whole file to `<path>.tmp` and renames it over `<path>`, so a reader in
+// any process sees either the complete previous file or the complete new
+// one, and a crash mid-save loses no entry.
 #pragma once
 
 #include <mutex>
@@ -39,7 +44,8 @@ class CharacterizationStore {
   /// (the save path is a read-modify-rewrite of the whole file).
   std::optional<CharacterizationData> load(const std::string& key) const;
 
-  /// Appends (or replaces) the entry for `key`.
+  /// Appends (or replaces) the entry for `key` with an atomic publish of
+  /// the whole file. Throws ParseError when the file cannot be written.
   void save(const std::string& key, const CharacterizationData& data);
 
   /// Number of entries currently stored.

@@ -1,15 +1,10 @@
 #include "viaarray/primitive_store.h"
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/serialize.h"
@@ -65,37 +60,6 @@ std::map<std::string, std::string> readAll(const std::string& path) {
   return entries;
 }
 
-/// fsync of a freshly written file, so the atomic rename below cannot land
-/// before the data blocks do.
-bool syncFile(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(path.c_str(), O_WRONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-#else
-  (void)path;
-  return true;  // best effort off POSIX
-#endif
-}
-
-/// Best-effort fsync of the directory holding `path`, so the rename itself
-/// survives a crash. Failure is not fatal (worst case: the previous file).
-void syncParentDir(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  const auto slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-#else
-  (void)path;
-#endif
-}
-
 }  // namespace
 
 StressPrimitiveStore::StressPrimitiveStore(std::string path)
@@ -128,33 +92,18 @@ void StressPrimitiveStore::save(const std::string& key,
   VIADUCT_REQUIRE(!key.empty() && !sigma.empty());
   // In-process writers serialize on the mutex (two concurrent saves would
   // race on the same .tmp path); cross-process safety is the atomic
-  // rename below, unchanged.
+  // publish below.
   std::lock_guard lock(mutex_);
   auto entries = readAll(path_);
   entries[key] = formatDoubles(sigma);
 
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw ParseError("cannot write stress-primitive store: " + tmp);
+  const bool published = writeFileAtomically(path_, [&](std::ostream& os) {
     os << kMagic << '\n';
     for (const auto& [k, s] : entries)
       os << "entry " << k << '\n' << "sigma " << s << '\n';
-    os.flush();
-    if (!os) {
-      std::remove(tmp.c_str());
-      throw ParseError("short write to stress-primitive store: " + tmp);
-    }
-  }
-  if (!syncFile(tmp)) {
-    std::remove(tmp.c_str());
-    throw ParseError("cannot fsync stress-primitive store: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  });
+  if (!published)
     throw ParseError("cannot publish stress-primitive store: " + path_);
-  }
-  syncParentDir(path_);
   VIADUCT_DEBUG << "stress-primitive store: " << entries.size()
                 << " entr(ies) at " << path_;
 }

@@ -1,6 +1,7 @@
 // Steady-vs-transient agreement suite for the linear-time steady-state EM
 // solver (DESIGN.md §5.14): closed-form anchors, random-tree invariants,
-// and asymptote parity against the implicit-Euler path reference.
+// and asymptote parity against the implicit-Euler path reference (the
+// test oracle in tests/support).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include "common/rng.h"
 #include "em/korhonen_pde.h"
 #include "em/steady_state.h"
+#include "support/transient_path.h"
 
 namespace viaduct {
 namespace {

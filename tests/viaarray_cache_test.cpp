@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "common/serialize.h"
@@ -25,7 +28,10 @@ class CacheTest : public ::testing::Test {
                 .string();
     std::filesystem::remove(path_);
   }
-  void TearDown() override { std::filesystem::remove(path_); }
+  void TearDown() override {
+    std::filesystem::remove(path_);
+    std::filesystem::remove(path_ + ".tmp");
+  }
 
   std::string path_;
 };
@@ -86,6 +92,44 @@ TEST_F(CacheTest, SaveReplacesExistingKey) {
   store.save("key", sampleData(4, 5));
   EXPECT_EQ(store.entryCount(), 1u);
   EXPECT_EQ(store.load("key")->traces.size(), 5u);
+}
+
+TEST_F(CacheTest, ConcurrentReadersNeverLoseAnEntry) {
+  // One writer re-saves key B while readers, each through its own store
+  // (as another process would), load key A, saved earlier. Every save
+  // publishes the whole file by rename, so A is never a miss; a save that
+  // rewrote the file in place would expose an empty or half-written file.
+  CharacterizationStore writer(path_);
+  const auto entryA = sampleData(/*vias=*/16, /*trials=*/64);
+  writer.save("A", entryA);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> ready{0};
+  std::atomic<int> loads{0};
+  std::atomic<int> misses{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      const CharacterizationStore own(path_);  // fresh opens, own mutex
+      ready.fetch_add(1);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto got = own.load("A");
+        if (!got || got->traces.size() != entryA.traces.size())
+          misses.fetch_add(1);
+        loads.fetch_add(1);
+      }
+    });
+  }
+  while (ready.load() < 4) std::this_thread::yield();
+  for (int i = 0; i < 40; ++i)
+    writer.save("B", sampleData(/*vias=*/16, i % 2 == 0 ? 96 : 8));
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_GT(loads.load(), 0);
+  EXPECT_EQ(misses.load(), 0);
+  EXPECT_EQ(writer.entryCount(), 2u);
+  EXPECT_EQ(writer.load("B")->traces.size(), 8u);  // last save (i=39)
+  EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
 }
 
 TEST_F(CacheTest, CorruptFileIsTreatedAsMiss) {
@@ -202,8 +246,10 @@ TEST_F(CacheTest, CorruptPayloadTokensAreMisses) {
     CharacterizationStore store(path_);
     EXPECT_FALSE(store.load("key").has_value()) << "payload: " << bad;
   }
-  // A trace line truncated mid-token (crash mid-write: this store predates
-  // the checkpoint subsystem's rename protocol) is also a miss.
+  // A trace line truncated mid-token is also a miss. Saves publish by
+  // rename, so this store never writes such a file itself; a file damaged
+  // some other way (a copy cut short, a full disk elsewhere) still loads
+  // as a miss.
   {
     std::ofstream os(path_, std::ios::trunc);
     os << "viaduct-characterization-cache v1\n"

@@ -99,7 +99,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
       checkpointEvery = 32;
   bool resume = false, wireAudit = false;
   double tuneIr = 0.06, wireMarginMpa = 340.0;
-  std::string emMode = "steady";
   CliFlags flags("viaduct_cli analyze: two-level EM TTF analysis");
   flags.addString("netlist", &netlistPath, "SPICE netlist (overrides preset)");
   flags.addString("preset", &preset, "PG1/PG2/PG5");
@@ -129,11 +128,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
                 "audit every MC failure configuration's wire stresses with "
                 "the steady-state tree solver (diagnostic; TTF samples are "
                 "unchanged)");
-  flags.addString("em-mode", &emMode,
-                  "wire-EM verdict mode: steady|transient|hybrid "
-                  "(steady = linear-time closed form; hybrid = steady "
-                  "filter + transient confirmation of the mortal minority). "
-                  "Joins the grid-MC checkpoint key");
   flags.addDouble("wire-margin-mpa", &wireMarginMpa,
                   "wire stress margin sigma_C - sigma_T - sigma_pkg [MPa]");
   if (!flags.parse(argc, argv)) return 0;
@@ -153,7 +147,6 @@ int cmdAnalyze(int argc, const char* const* argv) {
   if (resume && checkpointPath.empty())
     throw PreconditionError("--resume needs --checkpoint <path>");
   config.wireEmAudit = wireAudit;
-  config.emMode = parseSignoffMode(emMode);
   config.wireStressMarginPa = wireMarginMpa * units::MPa;
 
   auto library =
@@ -194,7 +187,7 @@ int cmdAnalyze(int argc, const char* const* argv) {
               << trials << " grid trials from " << checkpointPath << "\n";
   }
   if (wireAudit) {
-    std::cout << "wire-EM audit (" << emMode << "): "
+    std::cout << "wire-EM audit (steady): "
               << report.wireMortalConfigs << "/" << report.wireAuditedConfigs
               << " failure configurations with mortal wires ("
               << report.wireMortalTrials << "/" << trials << " trials)\n";
@@ -272,7 +265,7 @@ int cmdCharacterize(int argc, const char* const* argv) {
 }
 
 int cmdSignoff(int argc, const char* const* argv) {
-  std::string netlistPath, preset = "PG1", emMode = "hybrid";
+  std::string netlistPath, preset = "PG1";
   double limit = 2e10;
   double tuneIr = 0.06, wireMarginMpa = 340.0;
   bool wires = false;
@@ -284,8 +277,6 @@ int cmdSignoff(int argc, const char* const* argv) {
                   "retune loads to this nominal IR fraction (0 = as-is)");
   flags.addBool("wires", &wires,
                 "also sign off wire trees with the steady-state EM solver");
-  flags.addString("em-mode", &emMode,
-                  "wire-EM verdict mode: steady|transient|hybrid");
   flags.addDouble("wire-margin-mpa", &wireMarginMpa,
                   "wire stress margin sigma_C - sigma_T - sigma_pkg [MPa]");
   if (!flags.parse(argc, argv)) return 0;
@@ -295,7 +286,6 @@ int cmdSignoff(int argc, const char* const* argv) {
   const PowerGridModel model(netlist);
   SignoffConfig cfg;
   cfg.currentDensityLimit = limit;
-  cfg.emMode = parseSignoffMode(emMode);
   cfg.wireStressMarginPa = wireMarginMpa * units::MPa;
   const auto report = signoffViaArrays(model, cfg);
   std::cout << (report.passed() ? "PASS" : "FAIL") << ": "
@@ -308,17 +298,13 @@ int cmdSignoff(int argc, const char* const* argv) {
   if (wires) {
     const auto wireReport = signoffWires(netlist, cfg);
     wiresPassed = wireReport.passed();
-    std::cout << (wireReport.passed() ? "PASS" : "FAIL") << ": wires ("
-              << signoffModeName(wireReport.mode) << "): "
-              << wireReport.mortalTrees << "/" << wireReport.trees
-              << " trees mortal, worst steady stress rise "
+    std::cout << (wireReport.passed() ? "PASS" : "FAIL")
+              << ": wires (steady): " << wireReport.mortalTrees << "/"
+              << wireReport.trees << " trees mortal, worst steady stress rise "
               << TextTable::num(wireReport.worstStressRisePa / units::MPa, 1)
               << " MPa vs margin "
               << TextTable::num(wireReport.stressMarginPa / units::MPa, 1)
               << " MPa";
-    if (wireReport.transientFallbacks > 0)
-      std::cout << " (" << wireReport.transientFallbacks
-                << " transient fallbacks)";
     if (wireReport.cyclicComponents > 0)
       std::cout << " [" << wireReport.cyclicComponents
                 << " cyclic components via Blech, "
@@ -329,7 +315,7 @@ int cmdSignoff(int argc, const char* const* argv) {
 }
 
 int cmdCensus(int argc, const char* const* argv) {
-  std::string netlistPath, preset = "PG1", emMode = "steady";
+  std::string netlistPath, preset = "PG1";
   double marginMpa = 340.0;
   double tuneIr = 0.06;
   CliFlags flags("viaduct_cli census: wire Blech immortality census");
@@ -337,8 +323,6 @@ int cmdCensus(int argc, const char* const* argv) {
   flags.addString("preset", &preset, "PG1/PG2/PG5");
   flags.addDouble("margin-mpa", &marginMpa,
                   "critical-stress margin sigma_C - sigma_T [MPa]");
-  flags.addString("em-mode", &emMode,
-                  "tree-census verdict mode: steady|transient|hybrid");
   flags.addDouble("tune-ir", &tuneIr,
                   "retune loads to this nominal IR fraction (0 = as-is)");
   if (!flags.parse(argc, argv)) return 0;
@@ -355,18 +339,14 @@ int cmdCensus(int argc, const char* const* argv) {
             << " A/m\n";
   const auto treeCensus =
       classifyWiresEm(netlist, WireGeometry{}, marginMpa * units::MPa,
-                      EmParameters{}, parseSignoffMode(emMode));
-  std::cout << "tree census (" << signoffModeName(treeCensus.mode) << "): "
-            << treeCensus.mortalTrees << "/" << treeCensus.trees
+                      EmParameters{});
+  std::cout << "tree census (steady): " << treeCensus.mortalTrees << "/" << treeCensus.trees
             << " trees mortal over " << treeCensus.branches
             << " branches; worst steady stress rise "
             << TextTable::num(treeCensus.worstStressRisePa / units::MPa, 1)
             << " MPa vs margin "
             << TextTable::num(treeCensus.stressMarginPa / units::MPa, 1)
             << " MPa";
-  if (treeCensus.transientFallbacks > 0)
-    std::cout << " (" << treeCensus.transientFallbacks
-              << " transient fallbacks)";
   if (treeCensus.cyclicComponents > 0)
     std::cout << " [" << treeCensus.cyclicComponents
               << " cyclic components via Blech, "
